@@ -53,7 +53,6 @@ from .sampling_grid import (
     validate_against,
 )
 from .sampling_operator import (
-    CosetInterpolant,
     SampleSet,
     apply_coset_operator,
     coset_parseval_check,

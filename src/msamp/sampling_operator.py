@@ -8,6 +8,18 @@ uses the ideal lowpass kernel phi_s(z) = sinc(z/delta_X), whose passband
 is [-1/(2*delta_X), 1/(2*delta_X)]. The kernel vanishes at every other
 point of the same coset, so the interpolant reproduces its own samples
 exactly regardless of truncation.
+
+With u = (x - k*delta_x)/delta_X, every kernel value shares one sine:
+
+    sinc(u - j) = (-1)^j * sin(pi*u) / (pi*(u - j)),
+
+so S_k g(x) = sin(pi*u)/pi * sum_j w_j/(u - j) with w_j = (-1)^j v_j, a
+Cauchy sum. apply_coset_operator evaluates it with one sine per point,
+taken after the exact reduction u = r + f, r = rint(u), as
+(-1)^r sin(pi*f), which stays accurate at |u| ~ J; the sum costs
+nx*(2J+1) divisions and one real matrix product with the (2J+1, 2) real
+and imaginary parts of w, instead of nx*(2J+1) sines and a complex copy
+of the dense kernel matrix.
 """
 
 from __future__ import annotations
@@ -18,11 +30,10 @@ import numpy as np
 
 from .errors import ConstraintError
 from .sampling_grid import PeriodicSamplingGrid
-from .signal_model import MultiscaleSignalSpec, evaluate, sinc
+from .signal_model import _SINC_SNAP_TOL, MultiscaleSignalSpec, evaluate, sinc
 
 __all__ = [
     "SampleSet",
-    "CosetInterpolant",
     "kernel_phi_s",
     "sample_signal",
     "apply_coset_operator",
@@ -30,6 +41,10 @@ __all__ = [
     "samples_to_csv",
     "samples_from_csv",
 ]
+
+# Cauchy-matrix entries built per block of points: 512 KiB of float64, so
+# a block stays in cache and memory does not grow with the number of points.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class SampleSet:
@@ -65,27 +80,6 @@ class SampleSet:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
-class CosetInterpolant:
-    """Callable truncated interpolant S_k for one coset of a SampleSet."""
-
-    def __init__(self, samples: SampleSet, k: int):
-        if not 0 <= k <= samples.grid.P:
-            raise ConstraintError(f"coset index {k} outside 0..{samples.grid.P}")
-        self.k = k
-        self.delta_X = samples.grid.delta_X
-        self.delta_x = samples.grid.delta_x
-        self._offsets = samples.grid.coset_points(k)
-        self._values = samples.coset_row(k)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        ker = sinc((x[:, None] - self._offsets[None, :]) / self.delta_X)
-        out = ker.astype(complex) @ self._values
-        return complex(out[0]) if scalar else out
-
-
 def kernel_phi_s(z, delta_X: float):
     """Lowpass interpolation kernel sinc(z/delta_X).
 
@@ -117,18 +111,40 @@ def sample_signal(
 
 
 def apply_coset_operator(samples: SampleSet, k: int, x):
-    """Truncated coset interpolant S_k evaluated at x (scalar or array)."""
-    return CosetInterpolant(samples, k)(x)
+    """Truncated coset interpolant S_k evaluated at x (scalar or array).
 
+    Evaluates the factored Cauchy sum of the module docstring. Where u lies
+    within _SINC_SNAP_TOL of an integer r, the result is the stored sample
+    v_r exactly, or 0 when |r| > J, as the dense sinc kernel gives.
+    """
+    grid = samples.grid
+    if not 0 <= k <= grid.P:
+        raise ConstraintError(f"coset index {k} outside 0..{grid.P}")
+    x = np.asarray(x, dtype=float)
+    u = np.atleast_1d((x - k * grid.delta_x) / grid.delta_X)
+    v = samples.coset_row(k)
+    j = grid.macro_indices().astype(float)
+    r = np.rint(u)
+    f = u - r
+    out = np.zeros(u.shape, dtype=complex)
 
-def _trapezoid_sq_norm(fn, lo: float, hi: float, step: float) -> float:
-    # composite trapezoid of |fn|^2; step is a cap, actual spacing divides
-    # the window evenly
-    n = max(int(np.ceil((hi - lo) / step)), 8)
-    x = np.linspace(lo, hi, n + 1)
-    y = np.abs(fn(x)) ** 2
-    h = (hi - lo) / n
-    return float(h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+    snap = np.abs(f) < _SINC_SNAP_TOL
+    stored = snap & (np.abs(r) <= grid.J)
+    out[stored] = v[r[stored].astype(int) + grid.J]
+
+    live = ~snap
+    ul = u[live]
+    # w_j = (-1)^j v_j as (2J+1, 2) real and imaginary parts
+    w = np.where(j % 2 == 0, v, -v).view(float).reshape(-1, 2)
+    total = np.empty((ul.size, 2))
+    rows = max(1, _BLOCK_ELEMENTS // j.size)
+    for i in range(0, ul.size, rows):
+        cauchy = np.subtract.outer(ul[i : i + rows], j)
+        np.divide(1.0, cauchy, out=cauchy)
+        np.matmul(cauchy, w, out=total[i : i + rows])
+    sine = np.where(r[live] % 2 == 0, 1.0, -1.0) * np.sin(np.pi * f[live]) / np.pi
+    out[live] = sine * total.view(complex)[:, 0]
+    return complex(out[0]) if x.ndim == 0 else out
 
 
 def coset_parseval_check(
@@ -141,8 +157,9 @@ def coset_parseval_check(
     Equality is exact on the whole line; the gap measures the energy of
     the kernel tails beyond the quadrature window.
     """
+    from .oracle import l2_norm_quadrature
+
     grid = samples.grid
-    interp = CosetInterpolant(samples, k)
     if window_margin is None:
         window_margin = grid.J * grid.delta_X
     lo = -grid.J * grid.delta_X - window_margin
@@ -156,7 +173,7 @@ def coset_parseval_check(
     npts = (hi - lo) / step
     if npts > 2_000_000:
         step = (hi - lo) / 2_000_000
-    lhs = _trapezoid_sq_norm(interp, lo, hi, step)
+    lhs = l2_norm_quadrature(lambda x: apply_coset_operator(samples, k, x), (lo, hi), step)
     rhs = grid.delta_X * float(np.sum(np.abs(samples.coset_row(k)) ** 2))
     return lhs, rhs
 
@@ -179,7 +196,7 @@ def samples_to_csv(samples: SampleSet, path) -> None:
 
 def samples_from_csv(path) -> SampleSet:
     """Rebuild a SampleSet (grid included) from its CSV export."""
-    rows = []
+    by_kj = {}
     with open(path, newline="", encoding="utf-8") as f:
         r = csv.reader(f)
         header = next(r)
@@ -188,21 +205,40 @@ def samples_from_csv(path) -> SampleSet:
         for rec in r:
             if not rec:
                 continue
-            rows.append(
-                (int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3]), float(rec[4]))
-            )
-    if not rows:
+            try:
+                k, j = int(rec[0]), int(rec[1])
+                x, re, im = float(rec[2]), float(rec[3]), float(rec[4])
+            except (ValueError, IndexError) as exc:
+                raise ConstraintError(
+                    f"sample CSV line {r.line_num} is malformed: {rec}"
+                ) from exc
+            if (k, j) in by_kj:
+                raise ConstraintError(f"sample CSV repeats the row k={k}, j={j}")
+            by_kj[(k, j)] = (x, re, im)
+    if not by_kj:
         raise ConstraintError("sample CSV contains no rows")
-    P = max(k for k, *_ in rows)
-    J = max(j for _, j, *_ in rows)
-    by_kj = {(k, j): (x, re, im) for k, j, x, re, im in rows}
-    if len(by_kj) != (P + 1) * (2 * J + 1):
+    P = max(k for k, _ in by_kj)
+    J = max(j for _, j in by_kj)
+    if set(by_kj) != {(k, j) for k in range(P + 1) for j in range(-J, J + 1)}:
         raise ConstraintError("sample CSV is not a complete (P+1) x (2J+1) grid")
     x00 = by_kj[(0, 0)][0]
     delta_X = by_kj[(0, 1)][0] - x00 if J >= 1 else 0.0
     delta_x = by_kj[(1, 0)][0] - x00 if P >= 1 else 0.0
     grid = PeriodicSamplingGrid(delta_X=delta_X, delta_x=delta_x, P=P, J=J)
+    xs = np.empty((P + 1, 2 * J + 1))
     values = np.zeros((P + 1, 2 * J + 1), dtype=complex)
-    for (k, j), (_, re, im) in by_kj.items():
+    for (k, j), (x, re, im) in by_kj.items():
+        xs[k, j + J] = x
         values[k, j + J] = complex(re, im)
+    # A point off the lattice by more than the kernel's snap window would be
+    # interpolated as if it sat on the lattice.
+    lattice = np.stack([grid.coset_points(k) for k in range(P + 1)])
+    off = ~(np.abs(xs - lattice) <= _SINC_SNAP_TOL * grid.delta_X)
+    if off.any():
+        k, jj = np.argwhere(off)[0]
+        raise ConstraintError(
+            f"sample CSV point k={k}, j={jj - J} has x={float(xs[k, jj])!r}, off the "
+            f"grid point {float(lattice[k, jj])!r} given by delta_X={grid.delta_X!r}, "
+            f"delta_x={grid.delta_x!r}"
+        )
     return SampleSet(grid, values)

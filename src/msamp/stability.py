@@ -8,7 +8,6 @@ sample energy that the stability constant is supposed to dominate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -270,10 +269,6 @@ def report_to_dict(report: StabilityReport) -> dict:
     d = {k: getattr(report, k) for k in _REPORT_FIELDS}
     d["parameters"] = dict(report.parameters)
     return d
-
-
-def report_to_json(report: StabilityReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
 
 
 def report_csv_header() -> list:

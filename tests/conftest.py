@@ -16,6 +16,26 @@ def hp_sinc(u, dps: int = 50):
         return mpmath.sin(mpmath.pi * u) / (mpmath.pi * u)
 
 
+def hp_coset_interpolant(samples, k: int, x, dps: int = 40):
+    """Coset interpolant S_k(x) = sum_j v_j sinc((x - j*dX - k*dx)/dX).
+
+    Dense reference: every kernel value is taken at `dps` digits from the
+    float inputs, with no factoring, argument reduction or snapping.
+    """
+    grid = samples.grid
+    with mpmath.workdps(dps):
+        dX, dx = mpmath.mpf(grid.delta_X), mpmath.mpf(grid.delta_x)
+        terms = [
+            (int(j), mpmath.mpc(v.real, v.imag))
+            for j, v in zip(grid.macro_indices(), samples.coset_row(k))
+        ]
+        out = []
+        for xi in np.atleast_1d(np.asarray(x, dtype=float)):
+            u = (mpmath.mpf(float(xi)) - k * dx) / dX
+            out.append(complex(sum(v * hp_sinc(u - j, dps) for j, v in terms)))
+    return np.array(out)
+
+
 def hp_coefficient(spec: MultiscaleSignalSpec, m: int, x: float, dps: int = 50):
     """Band envelope c_m(x) summed term by term at high precision."""
     with mpmath.workdps(dps):

@@ -136,6 +136,17 @@ class TestReconstruct:
         assert code == 2
         assert "straddle" in capsys.readouterr().err
 
+    def test_duplicated_sample_row_exit_2(self, tmp_path, capsys):
+        spec, samples = self.prepare(tmp_path)
+        lines = samples.read_text().splitlines()
+        samples.write_text("\n".join(lines + [lines[3]]) + "\n")
+        code = run(
+            "reconstruct", "--samples", str(samples), "--spec", str(spec),
+            "--points", "5", "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 2
+        assert "repeats the row" in capsys.readouterr().err
+
 
 class TestStability:
     def test_report_fields_and_sandwich(self, tmp_path, capsys):

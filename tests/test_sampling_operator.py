@@ -22,6 +22,8 @@ from msamp import (
     samples_to_csv,
 )
 
+from conftest import hp_coset_interpolant
+
 TWO_OVER_PI = 0.63661977236758134308
 
 
@@ -130,6 +132,75 @@ class TestInterpolationIdentity:
         truth = evaluate(spec, xs)
         scale = np.max(np.abs(truth))
         assert np.max(np.abs(out - truth)) <= calibration.tau(256) * scale
+
+
+class TestFactoredKernel:
+    """apply_coset_operator against a dense high-precision sinc sum."""
+
+    @staticmethod
+    def random_samples(seed, J):
+        grid = build_grid(0.22, 0.03, 2, J)
+        rng = np.random.default_rng(seed)
+        shape = (grid.P + 1, 2 * J + 1)
+        return SampleSet(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @staticmethod
+    def assert_matches_reference(samples, k, xs):
+        out = apply_coset_operator(samples, k, xs)
+        ref = hp_coset_interpolant(samples, k, xs)
+        tol = 1e-13 * np.max(np.abs(samples.coset_row(k)))
+        assert np.max(np.abs(out - ref)) <= tol
+
+    @staticmethod
+    def points(grid, k, u):
+        return np.asarray(u) * grid.delta_X + k * grid.delta_x
+
+    def test_random_points(self, rng):
+        samples = self.random_samples(1, 64)
+        half = samples.grid.J * samples.grid.delta_X
+        for k in range(3):
+            self.assert_matches_reference(samples, k, rng.uniform(-half, half, 30))
+
+    def test_near_lattice_outside_snap_window(self, rng):
+        # 1e-9 <= |u - j| <= 1e-8: the dense sinc's series branch
+        samples = self.random_samples(2, 64)
+        offsets = np.array([1.01e-9, 3e-9, 9.9e-9, -1.5e-9, -9e-9])
+        for k in range(3):
+            j = rng.integers(-64, 65, offsets.size)
+            self.assert_matches_reference(samples, k, self.points(samples.grid, k, j + offsets))
+
+    def test_snapped_points_return_stored_sample(self):
+        samples = self.random_samples(3, 64)
+        j = np.array([-64, -17, 0, 5, 64])
+        offsets = np.array([0.0, 5e-10, -9e-10, 2e-10, -3e-10])
+        for k in range(3):
+            out = apply_coset_operator(samples, k, self.points(samples.grid, k, j + offsets))
+            assert np.array_equal(out, samples.coset_row(k)[j + 64])
+
+    def test_past_window(self):
+        samples = self.random_samples(4, 64)
+        snapped = np.array([65, -65, 200, -1000]) + np.array([0.0, 4e-10, -4e-10, 0.0])
+        unsnapped = np.array([64.5, -65.3, 192.4, -320.1, 65 + 2e-9])
+        for k in range(3):
+            out = apply_coset_operator(samples, k, self.points(samples.grid, k, snapped))
+            assert np.array_equal(out, np.zeros(snapped.size))
+            self.assert_matches_reference(samples, k, self.points(samples.grid, k, unsnapped))
+
+    @pytest.mark.parametrize("J", [64, 512])
+    def test_window_edge(self, J):
+        samples = self.random_samples(5, J)
+        u = np.array([J - 0.5, J - 1e-3, J + 0.3, J + 1e-6, -J + 0.25, -J - 0.7])
+        for k in (0, 2):
+            self.assert_matches_reference(samples, k, self.points(samples.grid, k, u))
+
+    def test_scalar_point(self):
+        samples = self.random_samples(6, 64)
+        x = float(self.points(samples.grid, 1, 3.7))
+        out = apply_coset_operator(samples, 1, x)
+        assert isinstance(out, complex)
+        assert out == apply_coset_operator(samples, 1, np.array([x]))[0]
+        ref = complex(hp_coset_interpolant(samples, 1, x)[0])
+        assert abs(out - ref) <= 1e-13 * np.max(np.abs(samples.coset_row(1)))
 
 
 class TestAliasingIdentity:
@@ -242,4 +313,44 @@ class TestSampleCsv:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ConstraintError, match="complete"):
+            samples_from_csv(path)
+
+    @pytest.mark.parametrize("grid", [build_grid(0.05, 0.0, 0, 5), build_grid(0.22, 0.03, 2, 12)])
+    def test_round_trip_bytes_identical(self, tmp_path, grid):
+        spec, _ = spec_and_grid(seed=9)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        samples_to_csv(sample_signal(spec, grid, check=False), first)
+        samples_to_csv(samples_from_csv(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_duplicated_row_rejected(self, tmp_path):
+        spec, grid = spec_and_grid(seed=9, J=4)
+        path = tmp_path / "samples.csv"
+        samples_to_csv(sample_signal(spec, grid), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[7]]) + "\n")
+        with pytest.raises(ConstraintError, match="repeats the row k=0, j=2"):
+            samples_from_csv(path)
+
+    @pytest.mark.parametrize("row, shift", [(7, 1e-6), (20, -3e-8), (1, 0.5)])
+    def test_off_grid_x_rejected(self, tmp_path, row, shift):
+        spec, grid = spec_and_grid(seed=9, J=4)
+        path = tmp_path / "samples.csv"
+        samples_to_csv(sample_signal(spec, grid), path)
+        lines = path.read_text().splitlines()
+        k, j, x, re, im = lines[row].split(",")
+        lines[row] = ",".join([k, j, repr(float(x) + shift * grid.delta_X), re, im])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstraintError, match="off the grid"):
+            samples_from_csv(path)
+
+    @pytest.mark.parametrize("field", ["x", "1.5", ""])
+    def test_malformed_field_rejected(self, tmp_path, field):
+        spec, grid = spec_and_grid(seed=9, J=4)
+        path = tmp_path / "samples.csv"
+        samples_to_csv(sample_signal(spec, grid), path)
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join([field] + lines[3].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstraintError, match="line 4 is malformed"):
             samples_from_csv(path)
