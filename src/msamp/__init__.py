@@ -12,25 +12,16 @@ measured energy ratios).
 
 from .errors import ConstraintError, SingularSystemError
 from .oracle import (
-    BandSupportReport,
-    CalibrationTable,
     band_support_check,
     calibrate_truncation,
     classical_reconstruct,
-    interior_points,
     l2_norm_quadrature,
     load_calibration,
     load_default_calibration,
-    random_valid_grid,
     random_valid_pair,
-    reconstruction_error,
     save_calibration,
 )
 from .reconstruction import (
-    FrequencySplit,
-    ReconstructedSignal,
-    SpecParams,
-    VandermondeSystem,
     alias_branch,
     build_vandermonde,
     decompose_frequency,
@@ -40,8 +31,6 @@ from .reconstruction import (
     solve_coset_system,
 )
 from .sampling_grid import (
-    GridValidationReport,
-    PeriodicSamplingGrid,
     beurling_density,
     build_grid,
     grid_from_dict,
@@ -56,7 +45,6 @@ from .sampling_operator import (
     SampleSet,
     apply_coset_operator,
     coset_parseval_check,
-    kernel_phi_s,
     sample_signal,
     samples_from_csv,
     samples_to_csv,
@@ -64,7 +52,6 @@ from .sampling_operator import (
 from .signal_model import (
     MultiscaleSignalSpec,
     SincAtom,
-    SpectralSupport,
     evaluate,
     evaluate_coefficient,
     load_spec,
@@ -77,8 +64,6 @@ from .signal_model import (
     total_energy,
 )
 from .stability import (
-    NodeGapAudit,
-    StabilityReport,
     gautschi_bounds,
     measured_stability_ratio,
     node_gap_audit,

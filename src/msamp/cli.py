@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .errors import ConstraintError, SingularSystemError
-from .oracle import calibrate_truncation, save_calibration
+from .oracle import calibrate_truncation, reconstruction_error, save_calibration
 from .reconstruction import build_vandermonde, reconstruct, reconstruction_to_csv
 from .sampling_grid import build_grid, validate_against
 from .sampling_operator import sample_signal, samples_from_csv, samples_to_csv
@@ -51,7 +51,14 @@ class _Config:
         self.file_values = {}
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8") as f:
-                self.file_values = json.load(f)
+                try:
+                    self.file_values = json.load(f)
+                except ValueError as exc:
+                    raise ConstraintError(
+                        f"--config {args.config} is not valid JSON: {exc}"
+                    ) from exc
+            if not isinstance(self.file_values, dict):
+                raise ConstraintError(f"--config {args.config} is not a JSON object")
 
     def get(self, name: str, default=None):
         v = getattr(self.args, name, None)
@@ -186,9 +193,7 @@ def cmd_sweep(cfg: _Config) -> int:
         raise ConstraintError("--points must be >= 1")
     M = spec.M
     r_max = 1 / (2 * M + 1)
-    rng = np.random.default_rng(cfg.seed())
-    half = J * delta_X / 2
-    xs = rng.uniform(-half, half, size=n_eval)
+    seed = cfg.seed()
 
     rows = []
     for i in range(1, n_points + 1):
@@ -207,11 +212,10 @@ def cmd_sweep(cfg: _Config) -> int:
             )
             system = build_vandermonde(spec, grid)
             row["vinv_norm"] = vandermonde_inverse_norm(system)
-            samples = sample_signal(spec, grid)
-            rec = reconstruct(samples, spec, xs)
-            truth = evaluate(spec, xs)
-            scale = float(np.max(np.abs(truth)))
-            row["max_err"] = float(np.max(np.abs(rec.assembled - truth))) / scale
+            # a fresh generator per row: every row uses the same points
+            row["max_err"] = reconstruction_error(
+                spec, grid, n_points=n_eval, rng=np.random.default_rng(seed)
+            )
         except (ConstraintError, SingularSystemError) as exc:
             row.update({"ok": 0, "C": "", "vinv_norm": "", "max_err": ""})
             row["note"] = str(exc).splitlines()[0]

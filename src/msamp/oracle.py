@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConstraintError
-from .reconstruction import alias_branch, decompose_frequency, reconstruct
+from .reconstruction import _as_params, alias_branch, decompose_frequency, reconstruct
 from .sampling_grid import PeriodicSamplingGrid, build_grid
 from .sampling_operator import SampleSet, sample_signal
 from .signal_model import MultiscaleSignalSpec, evaluate, random_signal, spectral_support
@@ -57,10 +57,7 @@ def classical_reconstruct(samples: SampleSet, x, spec_params=None):
     if grid.P != 0:
         raise ConstraintError("classical oracle needs a uniform grid (P = 0)")
     if spec_params is not None:
-        if isinstance(spec_params, MultiscaleSignalSpec):
-            N, M, eps = spec_params.N, spec_params.M, spec_params.epsilon
-        else:
-            N, M, eps = spec_params
+        N, M, eps = _as_params(spec_params)
         needed = 2 * (N + M / eps)
         if 1 / grid.delta_X < needed * (1 - 1e-12):
             raise ConstraintError(

@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import ConstraintError
 from .sampling_grid import PeriodicSamplingGrid
-from .signal_model import _SINC_SNAP_TOL, MultiscaleSignalSpec, evaluate, sinc
+from .signal_model import _SINC_SNAP_TOL, MultiscaleSignalSpec, evaluate
 
 __all__ = [
     "SampleSet",
-    "kernel_phi_s",
     "sample_signal",
     "apply_coset_operator",
     "coset_parseval_check",
@@ -78,16 +77,6 @@ class SampleSet:
     def total_sample_energy(self) -> float:
         """sum over all grid points of |value|^2."""
         return float(np.sum(np.abs(self.values) ** 2))
-
-
-def kernel_phi_s(z, delta_X: float):
-    """Lowpass interpolation kernel sinc(z/delta_X).
-
-    Exactly 1 at z = 0 and exactly 0 at z = n*delta_X for n != 0.
-    """
-    if delta_X <= 0:
-        raise ConstraintError("delta_X must be positive")
-    return sinc(np.asarray(z, dtype=float) / delta_X)
 
 
 def sample_signal(

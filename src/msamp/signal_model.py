@@ -113,14 +113,11 @@ class MultiscaleSignalSpec:
     N: float
     M: int
     bands: dict = field(default_factory=dict)
-    dimension: int = 1
 
     def __post_init__(self):
         eps = float(self.epsilon)
         N = float(self.N)
         M = int(self.M)
-        if self.dimension != 1:
-            raise ConstraintError("only dimension=1 is supported")
         if not (eps > 0 and N > 0 and M >= 0):
             raise ConstraintError("need epsilon > 0, N > 0, M >= 0")
         if not 2 * N < 1 / eps:
@@ -283,15 +280,17 @@ def spec_to_dict(spec: MultiscaleSignalSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> MultiscaleSignalSpec:
-    bands = {
-        int(b["m"]): tuple(
-            SincAtom(int(a["j"]), complex(a["re"], a["im"])) for a in b["atoms"]
-        )
-        for b in d["bands"]
-    }
-    return MultiscaleSignalSpec(
-        epsilon=float(d["epsilon"]), N=float(d["N"]), M=int(d["M"]), bands=bands
-    )
+    """Rebuild a spec from its wire dict; a missing or malformed field is a
+    ConstraintError."""
+    try:
+        epsilon, N, M = float(d["epsilon"]), float(d["N"]), int(d["M"])
+        bands = {
+            int(b["m"]): [(int(a["j"]), complex(a["re"], a["im"])) for a in b["atoms"]]
+            for b in d["bands"]
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConstraintError(f"malformed signal spec: {exc!r}") from exc
+    return MultiscaleSignalSpec(epsilon=epsilon, N=N, M=M, bands=bands)
 
 
 def save_spec(spec: MultiscaleSignalSpec, path) -> None:
@@ -302,4 +301,8 @@ def save_spec(spec: MultiscaleSignalSpec, path) -> None:
 
 def load_spec(path) -> MultiscaleSignalSpec:
     with open(path, encoding="utf-8") as f:
-        return spec_from_dict(json.load(f))
+        try:
+            d = json.load(f)
+        except ValueError as exc:
+            raise ConstraintError(f"signal spec {path} is not valid JSON: {exc}") from exc
+    return spec_from_dict(d)

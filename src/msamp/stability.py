@@ -61,7 +61,7 @@ def stability_constant(
 
 
 def two_band_stability_constant(N: float, delta_ratio: float) -> float:
-    """Stability constant 1/(2N*sin(pi*r)) for the two-band fast path.
+    """Stability constant 1/(2N*sin(pi*r)) for the two-band path (reconstruct_two_band).
 
     r = delta_x/epsilon; maximal node separation (and the minimum value
     1/(2N)) occurs at r = 1/2.

@@ -79,6 +79,48 @@ class TestSample:
         assert code == 1
 
 
+class TestMalformedInput:
+    """Malformed spec JSON and --config files are constraint violations (exit 2)."""
+
+    def sample_with_spec(self, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        return run(
+            "sample", "--spec", str(spec), "--dX", "0.22", "--dx", "0.03",
+            "--P", "2", "--J", "8", "--out", str(tmp_path / "s.csv"),
+        )
+
+    def test_spec_invalid_json_exit_2(self, tmp_path, capsys):
+        assert self.sample_with_spec(tmp_path, '{"epsilon": 0.1,') == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_spec_missing_key_exit_2(self, tmp_path, capsys):
+        assert self.sample_with_spec(tmp_path, '{"epsilon": 0.1, "N": 1}') == 2
+        assert "malformed signal spec" in capsys.readouterr().err
+
+    def test_spec_non_numeric_field_exit_2(self, tmp_path, capsys):
+        good = json.loads(synth(tmp_path, "good.json").read_text())
+        for mutate in (
+            lambda d: d.update(epsilon="abc"),
+            lambda d: d["bands"][0]["atoms"][0].update(re="abc"),
+        ):
+            d = json.loads(json.dumps(good))
+            mutate(d)
+            capsys.readouterr()
+            assert self.sample_with_spec(tmp_path, json.dumps(d)) == 2
+            assert "malformed signal spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"N": 1,'])
+    def test_config_not_a_json_object_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = run("synth", "--config", str(cfg), "--N", "1", "--M", "1",
+                   "--epsilon", "0.1", "--out", str(tmp_path / "a.json"))
+        assert code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
+
 class TestReconstruct:
     def prepare(self, tmp_path):
         spec = synth(tmp_path)

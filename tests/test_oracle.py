@@ -13,7 +13,6 @@ from msamp import (
     build_grid,
     calibrate_truncation,
     classical_reconstruct,
-    kernel_phi_s,
     l2_norm_quadrature,
     load_calibration,
     load_default_calibration,
@@ -22,6 +21,7 @@ from msamp import (
     reconstruct,
     sample_signal,
     save_calibration,
+    sinc,
     spectral_support,
     validate_against,
 )
@@ -85,7 +85,7 @@ class TestQuadrature:
         # ||sinc(./dX)||^2 = dX: the kernel's spectrum is flat of height
         # dX on a band of width 1/dX
         dX = 0.5
-        got = l2_norm_quadrature(lambda x: kernel_phi_s(x, dX), (-50, 50), 1e-3)
+        got = l2_norm_quadrature(lambda x: sinc(x / dX), (-50, 50), 1e-3)
         assert got == pytest.approx(dX, abs=1e-2 * dX)
 
     def test_zero_function(self):

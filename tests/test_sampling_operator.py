@@ -15,12 +15,13 @@ from msamp import (
     alias_branch,
     evaluate,
     evaluate_coefficient,
-    kernel_phi_s,
     random_signal,
     sample_signal,
     samples_from_csv,
     samples_to_csv,
+    sinc,
 )
+from msamp.sampling_grid import PeriodicSamplingGrid
 
 from conftest import hp_coset_interpolant
 
@@ -33,22 +34,31 @@ def spec_and_grid(seed=7, J=64):
     return spec, grid
 
 
+def unit_sample_interpolant(delta_X, x, J=8):
+    """S_0 of a single unit sample at the origin: the kernel sinc(x/delta_X)."""
+    values = np.zeros((1, 2 * J + 1), dtype=complex)
+    values[0, J] = 1.0
+    samples = SampleSet(build_grid(delta_X, 0.0, 0, J), values)
+    return apply_coset_operator(samples, 0, x)
+
+
 class TestKernel:
     def test_unit_at_zero(self):
-        assert kernel_phi_s(0.0, 0.35) == 1.0
+        assert unit_sample_interpolant(0.35, 0.0) == 1.0
 
     def test_zero_at_macro_multiples(self):
         dX = 0.35
-        for n in (1, -1, 3, -12):
-            assert kernel_phi_s(n * dX, dX) == 0.0
+        for n in (1, -1, 3, -12):  # -12 lies past the J = 8 window
+            assert unit_sample_interpolant(dX, n * dX) == 0.0
 
     def test_half_spacing(self):
         dX = 0.4
-        assert abs(kernel_phi_s(dX / 2, dX) - TWO_OVER_PI) < 1e-15
+        assert abs(unit_sample_interpolant(dX, dX / 2) - TWO_OVER_PI) < 1e-15
 
     def test_requires_positive_spacing(self):
-        with pytest.raises(ConstraintError):
-            kernel_phi_s(0.1, 0.0)
+        for dX in (0.0, -0.35):
+            with pytest.raises(ConstraintError, match="delta_X must be positive"):
+                PeriodicSamplingGrid(delta_X=dX, delta_x=0.0, P=0, J=8)
 
 
 class TestSampleSignal:
@@ -113,7 +123,7 @@ class TestInterpolationIdentity:
         samples = SampleSet(grid, values)
         xs = rng.uniform(-4, 4, size=20)
         out = apply_coset_operator(samples, 1, xs)
-        expected = kernel_phi_s(xs - grid.delta_x, grid.delta_X)
+        expected = sinc((xs - grid.delta_x) / grid.delta_X)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_coset_out_of_range(self):

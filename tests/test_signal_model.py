@@ -83,12 +83,6 @@ class TestSpecValidation:
         with pytest.raises(ConstraintError, match="degenerate"):
             make_spec({0: [SincAtom(0, 0.0)], 1: [SincAtom(1, 0.0)]})
 
-    def test_dimension_fixed_to_one(self):
-        with pytest.raises(ConstraintError):
-            MultiscaleSignalSpec(
-                epsilon=0.1, N=1.0, M=0, bands={0: [SincAtom(0, 1.0)]}, dimension=2
-            )
-
 
 class TestEvaluateCoefficient:
     def test_single_atom_at_center(self):
