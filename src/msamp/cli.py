@@ -9,6 +9,15 @@ Exit codes: 0 success, 1 I/O failure, 2 constraint violation,
 
 Option precedence: explicit flags > --config JSON file > MSAMP_SEED
 environment variable (seed only) > built-in defaults.
+
+Each option has one type (_TYPES), which converts both the flag's text and
+a --config value: a JSON string goes through it as is, any other JSON value
+as its JSON text. So integer options reject 1.7 and "x", a switch such as
+--bands takes only true or false, and J_values is a comma string such as
+"64,128", as on the command line. A value that does not convert, in the
+--config file or in MSAMP_SEED, is a constraint violation (exit 2). Keys
+that the running subcommand does not declare are ignored, so one file can
+serve the whole synth -> sample -> reconstruct chain.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import numpy as np
 from .errors import ConstraintError, SingularSystemError
 from .oracle import calibrate_truncation, reconstruction_error, save_calibration
 from .reconstruction import build_vandermonde, reconstruct, reconstruction_to_csv
-from .sampling_grid import build_grid, validate_against
+from .sampling_grid import build_grid
 from .sampling_operator import sample_signal, samples_from_csv, samples_to_csv
 from .signal_model import (
     evaluate,
@@ -43,30 +52,86 @@ from .stability import (
 DEFAULT_SEED = 0
 
 
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers, such as "64,128,256"."""
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
+# The type of every option; `bool` marks a switch that takes no value.
+_TYPES = {
+    **dict.fromkeys(["N", "epsilon", "amplitude_bound", "dX", "dx"], float),
+    **dict.fromkeys(["M", "atoms", "P", "J", "points", "eval_points", "trials", "seed"], int),
+    **dict.fromkeys(["spec", "samples", "out"], str),
+    "bands": bool,
+    "J_values": int_list,
+}
+
+# subcommand: (help, its options in --help order, help of those that have one).
+# Every subcommand also takes --config and --seed.
+_COMMANDS = {
+    "synth": (
+        "synthesize a random signal spec",
+        "N M epsilon atoms amplitude_bound out",
+        {},
+    ),
+    "sample": ("sample a signal on a multicoset grid", "spec dX dx P J out", {}),
+    "reconstruct": (
+        "reconstruct a signal from samples",
+        "samples spec N M epsilon points bands out",
+        {
+            "spec": "ground-truth spec (enables error reporting)",
+            "bands": "include per-band columns",
+        },
+    ),
+    "stability": ("stability report for a (spec, grid) pair", "spec dX dx P J out", {}),
+    "sweep": (
+        "sweep delta_x/epsilon, record C and errors",
+        "spec dX J points eval_points out",
+        {"points": "number of sweep points"},
+    ),
+    "calibrate": ("regenerate the truncation tolerance table", "J_values trials out", {}),
+}
+
+
+def _convert(name: str, value, source: str):
+    """Convert a --config or environment value as the flag's text would be."""
+    kind = _TYPES[name]
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ConstraintError(f"{source}: {name} = {json.dumps(value)} is not true or false")
+    try:
+        return kind(value if isinstance(value, str) else json.dumps(value))
+    except ValueError as exc:
+        raise ConstraintError(f"{source}: {name} = {json.dumps(value)}: {exc}") from exc
+
+
+def _read_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as f:
+        try:
+            values = json.load(f)
+        except ValueError as exc:
+            raise ConstraintError(f"--config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConstraintError(f"--config {path} is not a JSON object")
+    return values
+
+
 class _Config:
-    """Flag > config-file > default resolution for one subcommand run."""
+    """Typed option values of one subcommand run: flag > config file > default."""
 
     def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = {}
-        if getattr(args, "config", None):
-            with open(args.config, encoding="utf-8") as f:
-                try:
-                    self.file_values = json.load(f)
-                except ValueError as exc:
-                    raise ConstraintError(
-                        f"--config {args.config} is not valid JSON: {exc}"
-                    ) from exc
-            if not isinstance(self.file_values, dict):
-                raise ConstraintError(f"--config {args.config} is not a JSON object")
+        file_values = _read_config(args.config) if args.config else {}
+        self.values = {}
+        for name in _COMMANDS[args.command][1].split() + ["seed"]:
+            value = getattr(args, name)
+            if value is None and name in file_values:
+                value = _convert(name, file_values[name], f"--config {args.config}")
+            if value is not None:
+                self.values[name] = value
 
     def get(self, name: str, default=None):
-        v = getattr(self.args, name, None)
-        if v is not None:
-            return v
-        if name in self.file_values:
-            return self.file_values[name]
-        return default
+        return self.values.get(name, default)
 
     def require(self, name: str):
         v = self.get(name)
@@ -75,35 +140,31 @@ class _Config:
         return v
 
     def seed(self) -> int:
-        v = self.get("seed")
-        if v is not None:
-            return int(v)
+        if "seed" in self.values:
+            return self.values["seed"]
         env = os.environ.get("MSAMP_SEED")
         if env is not None:
-            return int(env)
+            return _convert("seed", env, "MSAMP_SEED")
         return DEFAULT_SEED
 
 
-def _spec_params(cfg: _Config):
-    """(N, M, epsilon) from --spec file or explicit flags."""
-    path = cfg.get("spec")
-    if path:
-        spec = load_spec(path)
-        return spec, (spec.N, spec.M, spec.epsilon)
-    N, M, eps = cfg.get("N"), cfg.get("M"), cfg.get("epsilon")
-    if N is None or M is None or eps is None:
-        raise ConstraintError("need --spec or all of --N --M --epsilon")
-    return None, (float(N), int(M), float(eps))
+def _grid(cfg: _Config):
+    return build_grid(
+        delta_X=cfg.require("dX"),
+        delta_x=cfg.get("dx", 0.0),
+        P=cfg.require("P"),
+        J=cfg.require("J"),
+    )
 
 
 def cmd_synth(cfg: _Config) -> int:
     spec = random_signal(
         seed=cfg.seed(),
-        N=float(cfg.require("N")),
-        M=int(cfg.require("M")),
-        epsilon=float(cfg.require("epsilon")),
-        atoms_per_band=int(cfg.get("atoms", 2)),
-        amplitude_bound=float(cfg.get("amplitude_bound", 1.0)),
+        N=cfg.require("N"),
+        M=cfg.require("M"),
+        epsilon=cfg.require("epsilon"),
+        atoms_per_band=cfg.get("atoms", 2),
+        amplitude_bound=cfg.get("amplitude_bound", 1.0),
     )
     out = cfg.require("out")
     save_spec(spec, out)
@@ -120,19 +181,7 @@ def cmd_synth(cfg: _Config) -> int:
 
 def cmd_sample(cfg: _Config) -> int:
     spec = load_spec(cfg.require("spec"))
-    grid = build_grid(
-        delta_X=float(cfg.require("dX")),
-        delta_x=float(cfg.get("dx", 0.0)),
-        P=int(cfg.require("P")),
-        J=int(cfg.require("J")),
-    )
-    report = validate_against(grid, spec)
-    if not report.ok:
-        print("grid fails constraints:", file=sys.stderr)
-        for c in report.failures:
-            print(f"  {c.name}: {c.detail}", file=sys.stderr)
-        return 2
-    samples = sample_signal(spec, grid)
+    samples = sample_signal(spec, _grid(cfg))
     out = cfg.require("out")
     samples_to_csv(samples, out)
     print(f"wrote {out} ({samples.grid.n_points} samples)")
@@ -141,17 +190,17 @@ def cmd_sample(cfg: _Config) -> int:
 
 def cmd_reconstruct(cfg: _Config) -> int:
     samples = samples_from_csv(cfg.require("samples"))
-    spec, params = _spec_params(cfg)
-    n = int(cfg.get("points", 65))
+    spec = load_spec(cfg.get("spec")) if cfg.get("spec") else None
+    params = tuple(cfg.get(name) for name in ("N", "M", "epsilon"))
+    if spec is None and None in params:
+        raise ConstraintError("need --spec or all of --N --M --epsilon")
     grid = samples.grid
     half = grid.J * grid.delta_X / 2
-    xs = np.linspace(-half, half, n)
-    rec = reconstruct(samples, params, xs)
+    xs = np.linspace(-half, half, cfg.get("points", 65))
+    rec = reconstruct(samples, spec or params, xs)
     truth = evaluate(spec, xs) if spec is not None else None
     out = cfg.require("out")
-    reconstruction_to_csv(
-        rec, out, truth=truth, include_bands=bool(cfg.get("bands", False))
-    )
+    reconstruction_to_csv(rec, out, truth=truth, include_bands=cfg.get("bands", False))
     print(f"wrote {out}")
     if truth is not None:
         err = np.abs(rec.assembled - truth)
@@ -165,13 +214,7 @@ def cmd_reconstruct(cfg: _Config) -> int:
 
 def cmd_stability(cfg: _Config) -> int:
     spec = load_spec(cfg.require("spec"))
-    grid = build_grid(
-        delta_X=float(cfg.require("dX")),
-        delta_x=float(cfg.get("dx", 0.0)),
-        P=int(cfg.require("P")),
-        J=int(cfg.require("J")),
-    )
-    report = stability_report(spec, grid)
+    report = stability_report(spec, _grid(cfg))
     payload = json.dumps(report_to_dict(report), indent=2)
     out = cfg.get("out")
     if out:
@@ -185,10 +228,10 @@ def cmd_stability(cfg: _Config) -> int:
 
 def cmd_sweep(cfg: _Config) -> int:
     spec = load_spec(cfg.require("spec"))
-    delta_X = float(cfg.require("dX"))
-    J = int(cfg.get("J", 64))
-    n_points = int(cfg.get("points", 20))
-    n_eval = int(cfg.get("eval_points", 17))
+    delta_X = cfg.require("dX")
+    J = cfg.get("J", 64)
+    n_points = cfg.get("points", 20)
+    n_eval = cfg.get("eval_points", 17)
     if n_points < 1:
         raise ConstraintError("--points must be >= 1")
     M = spec.M
@@ -202,23 +245,17 @@ def cmd_sweep(cfg: _Config) -> int:
         row = {"index": i, "ratio": ratio, "delta_x": delta_x, "ok": 1}
         try:
             grid = build_grid(delta_X=delta_X, delta_x=delta_x, P=2 * M, J=J)
-            report = validate_against(grid, spec)
-            if not report.ok:
-                raise ConstraintError(
-                    "; ".join(c.name for c in report.failures)
-                )
-            row["C"] = stability_constant(
-                spec.N, M, spec.epsilon, delta_X, delta_x
-            )
-            system = build_vandermonde(spec, grid)
-            row["vinv_norm"] = vandermonde_inverse_norm(system)
+            # first, so that its grid check blanks an invalid row at once;
             # a fresh generator per row: every row uses the same points
             row["max_err"] = reconstruction_error(
                 spec, grid, n_points=n_eval, rng=np.random.default_rng(seed)
             )
-        except (ConstraintError, SingularSystemError) as exc:
+            row["C"] = stability_constant(
+                spec.N, M, spec.epsilon, delta_X, delta_x
+            )
+            row["vinv_norm"] = vandermonde_inverse_norm(build_vandermonde(spec, grid))
+        except (ConstraintError, SingularSystemError):
             row.update({"ok": 0, "C": "", "vinv_norm": "", "max_err": ""})
-            row["note"] = str(exc).splitlines()[0]
         rows.append(row)
 
     out = cfg.require("out")
@@ -244,11 +281,11 @@ def cmd_sweep(cfg: _Config) -> int:
 
 
 def cmd_calibrate(cfg: _Config) -> int:
-    j_values = cfg.get("J_values", "64,128,256,512")
-    if isinstance(j_values, str):
-        j_values = [int(s) for s in j_values.split(",") if s.strip()]
-    trials = int(cfg.get("trials", 40))
-    table = calibrate_truncation(j_values, trials=trials, seed=cfg.seed())
+    table = calibrate_truncation(
+        cfg.get("J_values", [64, 128, 256, 512]),
+        trials=cfg.get("trials", 40),
+        seed=cfg.seed(),
+    )
     out = cfg.require("out")
     save_calibration(table, out)
     print(f"wrote {out}")
@@ -260,9 +297,12 @@ def cmd_calibrate(cfg: _Config) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--seed", type=int, help="RNG seed (default: MSAMP_SEED or 0)")
+def _add_option(p: argparse.ArgumentParser, name: str, text: str | None) -> None:
+    flag = "--" + name.replace("_", "-")
+    if _TYPES[name] is bool:
+        p.add_argument(flag, action="store_const", const=True, default=None, help=text)
+    else:
+        p.add_argument(flag, type=_TYPES[name], help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,61 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
         "multiscale bandlimited signals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="synthesize a random signal spec")
-    p.add_argument("--N", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--atoms", type=int)
-    p.add_argument("--amplitude-bound", dest="amplitude_bound", type=float)
-    p.add_argument("--out")
-    _add_common(p)
-
-    p = sub.add_parser("sample", help="sample a signal on a multicoset grid")
-    p.add_argument("--spec")
-    p.add_argument("--dX", type=float)
-    p.add_argument("--dx", type=float)
-    p.add_argument("--P", type=int)
-    p.add_argument("--J", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-
-    p = sub.add_parser("reconstruct", help="reconstruct a signal from samples")
-    p.add_argument("--samples")
-    p.add_argument("--spec", help="ground-truth spec (enables error reporting)")
-    p.add_argument("--N", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--bands", action="store_const", const=True, default=None,
-                   help="include per-band columns")
-    p.add_argument("--out")
-    _add_common(p)
-
-    p = sub.add_parser("stability", help="stability report for a (spec, grid) pair")
-    p.add_argument("--spec")
-    p.add_argument("--dX", type=float)
-    p.add_argument("--dx", type=float)
-    p.add_argument("--P", type=int)
-    p.add_argument("--J", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="sweep delta_x/epsilon, record C and errors")
-    p.add_argument("--spec")
-    p.add_argument("--dX", type=float)
-    p.add_argument("--J", type=int)
-    p.add_argument("--points", type=int, help="number of sweep points")
-    p.add_argument("--eval-points", dest="eval_points", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-
-    p = sub.add_parser("calibrate", help="regenerate the truncation tolerance table")
-    p.add_argument("--J-values", dest="J_values")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-
+    for command, (text, names, option_help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in names.split():
+            _add_option(p, name, option_help.get(name))
+        p.add_argument("--config", help="JSON file with default option values")
+        _add_option(p, "seed", "RNG seed (default: MSAMP_SEED or 0)")
     return parser
 
 

@@ -14,7 +14,7 @@ import datetime
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -308,25 +308,13 @@ class CalibrationTable:
     safety: float
     seed: int
     trials: int
-    generated_at: str
+    generated_at: str = field(compare=False)
 
     def tau(self, J: int) -> float:
         try:
             return self.tolerances[int(J)]
         except KeyError:
             raise ConstraintError(f"no calibrated tolerance for J={J}")
-
-    def content_equal(self, other: "CalibrationTable") -> bool:
-        """Equality ignoring the generation timestamp."""
-        return (
-            self.j_values == other.j_values
-            and self.measured == other.measured
-            and self.tolerances == other.tolerances
-            and self.c_tail == other.c_tail
-            and self.safety == other.safety
-            and self.seed == other.seed
-            and self.trials == other.trials
-        )
 
 
 def calibrate_truncation(

@@ -306,10 +306,7 @@ def reconstruct(
     """
     p = _as_params(spec_params)
     grid = samples.grid
-    report = validate_against(grid, p)
-    if not report.ok:
-        names = "; ".join(f"{c.name} ({c.detail})" for c in report.failures)
-        raise ConstraintError(f"grid fails reconstruction constraints: {names}")
+    validate_against(grid, p).require_ok()
 
     system = build_vandermonde(p, grid)
     if system.straddling_bands:

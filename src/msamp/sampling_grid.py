@@ -126,6 +126,12 @@ class GridValidationReport:
         ]
         return "\n".join(lines)
 
+    def require_ok(self) -> None:
+        """Raise ConstraintError listing each failed check with its detail."""
+        if not self.ok:
+            names = "; ".join(f"{c.name} ({c.detail})" for c in self.failures)
+            raise ConstraintError(f"grid fails reconstruction constraints: {names}")
+
 
 def validate_against(
     grid: PeriodicSamplingGrid, spec: MultiscaleSignalSpec

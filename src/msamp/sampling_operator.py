@@ -29,7 +29,7 @@ import csv
 import numpy as np
 
 from .errors import ConstraintError
-from .sampling_grid import PeriodicSamplingGrid
+from .sampling_grid import PeriodicSamplingGrid, validate_against
 from .signal_model import _SINC_SNAP_TOL, MultiscaleSignalSpec, evaluate
 
 __all__ = [
@@ -89,12 +89,7 @@ def sample_signal(
     full-rate grids for the classical oracle).
     """
     if check:
-        from .sampling_grid import validate_against
-
-        report = validate_against(grid, spec)
-        if not report.ok:
-            names = ", ".join(c.name for c in report.failures)
-            raise ConstraintError(f"grid fails constraints: {names}")
+        validate_against(grid, spec).require_ok()
     rows = [evaluate(spec, grid.coset_points(k)) for k in range(grid.P + 1)]
     return SampleSet(grid, np.stack(rows))
 

@@ -279,15 +279,26 @@ def spec_to_dict(spec: MultiscaleSignalSpec) -> dict:
     }
 
 
+def _integer(value, key: str) -> int:
+    """int(value), refusing a float with a fractional part instead of cutting it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} = {value!r} is not an integer")
+    return int(value)
+
+
 def spec_from_dict(d: dict) -> MultiscaleSignalSpec:
-    """Rebuild a spec from its wire dict; a missing or malformed field is a
-    ConstraintError."""
+    """Rebuild a spec from its wire dict; a missing or malformed field, a
+    non-integral M, m or j, or a band index given twice is a ConstraintError."""
     try:
-        epsilon, N, M = float(d["epsilon"]), float(d["N"]), int(d["M"])
-        bands = {
-            int(b["m"]): [(int(a["j"]), complex(a["re"], a["im"])) for a in b["atoms"]]
-            for b in d["bands"]
-        }
+        epsilon, N, M = float(d["epsilon"]), float(d["N"]), _integer(d["M"], "M")
+        bands = {}
+        for b in d["bands"]:
+            m = _integer(b["m"], "m")
+            if m in bands:
+                raise ValueError(f"band m={m} appears twice")
+            bands[m] = [
+                (_integer(a["j"], "j"), complex(a["re"], a["im"])) for a in b["atoms"]
+            ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstraintError(f"malformed signal spec: {exc!r}") from exc
     return MultiscaleSignalSpec(epsilon=epsilon, N=N, M=M, bands=bands)

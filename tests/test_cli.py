@@ -70,6 +70,7 @@ class TestSample:
         err = capsys.readouterr().err
         assert "delta_X <= 1/(2N)" in err
         assert "P == 2M" in err
+        assert "cap=0.5" in err and "2M=2" in err
 
     def test_missing_spec_file_exit_1(self, tmp_path):
         code = run(
@@ -109,6 +110,64 @@ class TestMalformedInput:
             capsys.readouterr()
             assert self.sample_with_spec(tmp_path, json.dumps(d)) == 2
             assert "malformed signal spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(M=1.7),
+            lambda d: d["bands"][0].update(m=-0.5),
+            lambda d: d["bands"][0]["atoms"][0].update(j=2.9),
+            lambda d: d["bands"].append(dict(d["bands"][0])),
+        ],
+        ids=["M", "band_m", "atom_j", "repeated_m"],
+    )
+    def test_spec_lossy_field_exit_2(self, tmp_path, capsys, mutate):
+        d = json.loads(synth(tmp_path, "good.json").read_text())
+        mutate(d)
+        capsys.readouterr()
+        assert self.sample_with_spec(tmp_path, json.dumps(d)) == 2
+        assert "malformed signal spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("synth", "N", "abc"),
+            ("synth", "M", 1.7),
+            ("sample", "J", 8.7),
+            ("reconstruct", "bands", "no"),
+            ("reconstruct", "points", "x"),
+        ],
+    )
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = run(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--config {cfg}: {key} = {json.dumps(value)}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_env_seed_not_an_integer_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MSAMP_SEED", "abc")
+        code = run("synth", "--N", "1", "--M", "1", "--epsilon", "0.1",
+                   "--out", str(tmp_path / "a.json"))
+        assert code == 2
+        assert "MSAMP_SEED" in capsys.readouterr().err
+
+    def test_flag_list_not_integers_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("calibrate", "--J-values", "16,x", "--out", str(tmp_path / "c.json"))
+        assert exc.value.code == 2
+        assert "--J-values" in capsys.readouterr().err
+
+    def test_config_spec_number_is_a_path(self, tmp_path, capsys, monkeypatch):
+        # 0 is the file "0", not file descriptor 0 (stdin)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"spec": 0}')
+        code = run("sample", "--config", "cfg.json", "--dX", "0.22", "--dx", "0.03",
+                   "--P", "2", "--J", "8", "--out", "s.csv")
+        assert code == 1
+        assert "I/O error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"N": 1,'])
     def test_config_not_a_json_object_exit_2(self, tmp_path, capsys, text):
@@ -296,6 +355,19 @@ class TestConfigPrecedence:
         b = tmp_path / "b.json"
         run("synth", "--N", "1", "--M", "1", "--epsilon", "0.1",
             "--atoms", "2", "--seed", "99", "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_config_seed_beats_env_seed(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        monkeypatch.setenv("MSAMP_SEED", "99")
+        a = tmp_path / "a.json"
+        run("synth", "--config", str(cfg), "--N", "1", "--M", "1", "--epsilon", "0.1",
+            "--atoms", "2", "--out", str(a))
+        monkeypatch.delenv("MSAMP_SEED")
+        b = tmp_path / "b.json"
+        run("synth", "--N", "1", "--M", "1", "--epsilon", "0.1",
+            "--atoms", "2", "--seed", "5", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_env_seed_ignored_when_flag_given(self, tmp_path, monkeypatch):

@@ -182,9 +182,9 @@ class TestCalibration:
     def test_regeneration_is_deterministic(self):
         a = calibrate_truncation([16, 32], trials=2, seed=5)
         b = calibrate_truncation([16, 32], trials=2, seed=5)
-        assert a.content_equal(b)
+        assert a == b
         c = calibrate_truncation([16, 32], trials=2, seed=6)
-        assert not a.content_equal(c)
+        assert a != c
 
     def test_tolerances_non_increasing(self):
         table = load_default_calibration()
@@ -211,7 +211,7 @@ class TestCalibration:
         path = tmp_path / "cal.json"
         save_calibration(table, path)
         back = load_calibration(path)
-        assert back.content_equal(table)
+        assert back == table
         assert back.generated_at == table.generated_at
 
     def test_unknown_truncation_rejected(self):
