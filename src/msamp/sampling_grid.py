@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError
-from .signal_model import MultiscaleSignalSpec
+from .signal_model import MultiscaleSignalSpec, _integer
 
 __all__ = [
     "PeriodicSamplingGrid",
@@ -45,6 +45,10 @@ class PeriodicSamplingGrid:
     J: int
 
     def __post_init__(self):
+        object.__setattr__(self, "delta_X", float(self.delta_X))
+        object.__setattr__(self, "delta_x", float(self.delta_x))
+        object.__setattr__(self, "P", _integer(self.P, "P"))
+        object.__setattr__(self, "J", _integer(self.J, "J"))
         if self.delta_X <= 0:
             raise ConstraintError("delta_X must be positive")
         if self.P < 0:
@@ -60,10 +64,6 @@ class PeriodicSamplingGrid:
                 f"coset overlap: P*delta_x = {self.P * self.delta_x} >= "
                 f"delta_X = {self.delta_X}"
             )
-        object.__setattr__(self, "delta_X", float(self.delta_X))
-        object.__setattr__(self, "delta_x", float(self.delta_x))
-        object.__setattr__(self, "P", int(self.P))
-        object.__setattr__(self, "J", int(self.J))
 
     @property
     def n_cosets(self) -> int:
@@ -193,10 +193,7 @@ def grid_to_dict(grid: PeriodicSamplingGrid) -> dict:
 
 def grid_from_dict(d: dict) -> PeriodicSamplingGrid:
     return PeriodicSamplingGrid(
-        delta_X=float(d["delta_X"]),
-        delta_x=float(d["delta_x"]),
-        P=int(d["P"]),
-        J=int(d["J"]),
+        delta_X=d["delta_X"], delta_x=d["delta_x"], P=d["P"], J=d["J"]
     )
 
 

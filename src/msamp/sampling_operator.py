@@ -90,8 +90,8 @@ def sample_signal(
     """
     if check:
         validate_against(grid, spec).require_ok()
-    rows = [evaluate(spec, grid.coset_points(k)) for k in range(grid.P + 1)]
-    return SampleSet(grid, np.stack(rows))
+    points = np.stack([grid.coset_points(k) for k in range(grid.P + 1)])
+    return SampleSet(grid, evaluate(spec, points))
 
 
 def apply_coset_operator(samples: SampleSet, k: int, x):

@@ -10,6 +10,20 @@ band carriers push copies of that interval to m/epsilon, producing a
 multiband spectrum with gaps of order 1/epsilon. Because the
 representation is closed-form, sampling and reconstruction can be tested
 against exact values instead of approximations.
+
+With t = 2N*x = r + f, r = rint(t), every atom shares one sine:
+
+    sinc(t - j) = (-1)^(r+j) * sin(pi*f) / (pi*(t - j)),
+
+and every carrier is a power of one z = exp(2*pi*i*x/epsilon), with
+z^-m = conj(z^m). evaluate therefore takes per point one sine (after the
+exact reduction of t), one complex exponential (after the exact reduction
+of x/epsilon), one division per distinct atom centre, a real-by-complex
+multiply-add per atom and a complex product per band, instead of a sinc
+per atom and a complex exponential per band. evaluate_coefficient shares
+this kernel and skips the exponential.
+Within _SINC_SNAP_TOL (1e-9) of a lattice point, |f| < 1e-9, the atoms
+give exactly 1 at j = r and 0 elsewhere, as sinc does.
 """
 
 from __future__ import annotations
@@ -45,6 +59,10 @@ _SINC_TAYLOR_TOL = 1e-8
 # the cardinal-interpolation identity exact under floating-point grids;
 # see kernel usage in sampling_operator.
 _SINC_SNAP_TOL = 1e-9
+# Points per block of _synthesize. A complex temporary of a block is
+# 64 KiB, which malloc serves from reused heap memory instead of mapping
+# fresh pages, and memory does not grow with the number of points.
+_EVAL_BLOCK = 1 << 12
 
 
 def sinc(u):
@@ -75,6 +93,13 @@ def sinc(u):
     return float(out[0]) if scalar else out
 
 
+def _integer(value, name: str) -> int:
+    """int(value), refusing a float with a fractional part instead of cutting it."""
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ConstraintError(f"{name} = {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SincAtom:
     """One sinc atom of a band envelope: amplitude * sinc(2N*x - center_index).
@@ -91,7 +116,7 @@ class SincAtom:
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ConstraintError(f"atom amplitude must be finite, got {a!r}")
         object.__setattr__(self, "amplitude", a)
-        object.__setattr__(self, "center_index", int(self.center_index))
+        object.__setattr__(self, "center_index", _integer(self.center_index, "center_index"))
 
 
 @dataclass(frozen=True)
@@ -117,7 +142,7 @@ class MultiscaleSignalSpec:
     def __post_init__(self):
         eps = float(self.epsilon)
         N = float(self.N)
-        M = int(self.M)
+        M = _integer(self.M, "M")
         if not (eps > 0 and N > 0 and M >= 0):
             raise ConstraintError("need epsilon > 0, N > 0, M >= 0")
         if not 2 * N < 1 / eps:
@@ -126,7 +151,9 @@ class MultiscaleSignalSpec:
             )
         clean = {}
         for m, atoms in self.bands.items():
-            m = int(m)
+            m = _integer(m, "band index")
+            if m in clean:
+                raise ConstraintError(f"band index {m} given twice")
             if abs(m) > M:
                 raise ConstraintError(f"band index {m} outside [-{M}, {M}]")
             clean[m] = tuple(
@@ -169,27 +196,88 @@ def evaluate_coefficient(spec: MultiscaleSignalSpec, m: int, x):
     """
     if abs(int(m)) > spec.M:
         raise ConstraintError(f"band index {m} outside [-{spec.M}, {spec.M}]")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros(x.shape, dtype=complex)
-    for atom in spec.band(m):
-        out += atom.amplitude * sinc(2 * spec.N * x - atom.center_index)
-    return complex(out[0]) if scalar else out
+    # c_m is the band-0 term (carrier 1) of a signal holding band m's atoms
+    return _synthesize(spec.N, spec.epsilon, {0: spec.band(m)}, x)
 
 
 def evaluate(spec: MultiscaleSignalSpec, x):
-    """Evaluate the full signal sum_m c_m(x) exp(2*pi*i*m*x/epsilon)."""
+    """Evaluate the full signal sum_m c_m(x) exp(2*pi*i*m*x/epsilon).
+
+    Uses the factored form of the module docstring: per point one sine,
+    one complex exponential and one division per distinct atom centre,
+    then a multiply-add per atom and a complex product per band.
+    """
+    return _synthesize(spec.N, spec.epsilon, spec.bands, x)
+
+
+def _synthesize(N: float, epsilon: float, bands: dict, x):
+    """sum over bands (m -> atoms) of c_m(x) * z^m at x, in blocks of points.
+
+    The atoms of a band are merged per centre j, with (-1)^j folded into
+    their sum; bands are taken in order of |m|, so z^|m| grows by one
+    product at a time. Atoms and bands are summed elementwise in this
+    fixed order, so a point's value does not depend on the other points.
+    """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.zeros(x.shape, dtype=complex)
-    for m, atoms in spec.bands.items():
-        cm = np.zeros(x.shape, dtype=complex)
-        for atom in atoms:
-            cm += atom.amplitude * sinc(2 * spec.N * x - atom.center_index)
-        out += cm * np.exp(2j * np.pi * m * x / spec.epsilon)
-    return complex(out[0]) if scalar else out
+    flat = x.reshape(-1)
+    rows: dict[int, int] = {}  # atom centre j -> its row of the kernel block
+    terms = []  # (m, [(row of j, (-1)^j * sum of band m's amplitudes at j)])
+    for m in sorted(bands, key=lambda m: (abs(m), m)):
+        merged: dict[int, complex] = {}
+        for a in bands[m]:
+            merged[a.center_index] = merged.get(a.center_index, 0j) + a.amplitude
+        if merged:
+            terms.append((m, [
+                (rows.setdefault(j, len(rows)), -w if j % 2 else w)
+                for j, w in merged.items()
+            ]))
+    centres = np.array(list(rows), dtype=float)[:, None]
+    parity = np.where(centres % 2 == 0, 1.0, -1.0)
+    top = max((abs(m) for m, _ in terms), default=0)
+    out = np.zeros(flat.shape, dtype=complex)
+    for lo in range(0, flat.size, _EVAL_BLOCK):
+        xb = flat[lo : lo + _EVAL_BLOCK]
+        t = 2 * N * xb
+        r = np.rint(t)
+        f = t - r
+        half = 0.5 * r
+        # s = (-1)^r sin(pi*f)/pi, so that sinc(t - j) = s/(t - j)
+        s = np.sin(np.pi * f) / np.where(np.floor(half) == half, np.pi, -np.pi)
+        snap = np.flatnonzero(np.abs(f) < _SINC_SNAP_TOL)
+        if snap.size:
+            t[snap] += 0.5  # keeps t - j off zero; these columns are set below
+        kernel = np.subtract(t, centres)
+        np.divide(1.0, kernel, out=kernel)
+        if snap.size:
+            # 1 at the centre r, 0 elsewhere, after the (-1)^j of the weights
+            kernel[:, snap] = np.where(centres == r[snap], parity, 0.0)
+            s[snap] = 1.0
+        if top:
+            z = power = _carrier(xb / epsilon)
+        level = 1  # power = z^level
+        acc = out[lo : lo + _EVAL_BLOCK]
+        for m, band in terms:
+            env = kernel[band[0][0]] * band[0][1]
+            for row, w in band[1:]:
+                env += kernel[row] * w
+            if m:
+                while level < abs(m):
+                    power, level = power * z, level + 1
+                # not in place: numpy rounds an in-place complex product of
+                # a short array differently, so a value would depend on the call
+                env = env * (power if m > 0 else np.conj(power))
+            acc += env
+        acc *= s
+    return complex(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _carrier(u):
+    """exp(2*pi*i*u), taken after the exact reduction u - rint(u)."""
+    theta = 2 * np.pi * (u - np.rint(u))
+    z = np.empty(theta.shape, dtype=complex)
+    z.real = np.cos(theta)
+    z.imag = np.sin(theta)
+    return z
 
 
 def spectral_support(spec: MultiscaleSignalSpec) -> SpectralSupport:
@@ -279,29 +367,19 @@ def spec_to_dict(spec: MultiscaleSignalSpec) -> dict:
     }
 
 
-def _integer(value, key: str) -> int:
-    """int(value), refusing a float with a fractional part instead of cutting it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} = {value!r} is not an integer")
-    return int(value)
-
-
 def spec_from_dict(d: dict) -> MultiscaleSignalSpec:
     """Rebuild a spec from its wire dict; a missing or malformed field, a
-    non-integral M, m or j, or a band index given twice is a ConstraintError."""
+    non-integral M, m or j, a band index given twice or a spec that
+    MultiscaleSignalSpec refuses is a ConstraintError naming the spec."""
     try:
-        epsilon, N, M = float(d["epsilon"]), float(d["N"]), _integer(d["M"], "M")
         bands = {}
         for b in d["bands"]:
-            m = _integer(b["m"], "m")
-            if m in bands:
-                raise ValueError(f"band m={m} appears twice")
-            bands[m] = [
-                (_integer(a["j"], "j"), complex(a["re"], a["im"])) for a in b["atoms"]
-            ]
+            if b["m"] in bands:
+                raise ValueError(f"band m={b['m']} appears twice")
+            bands[b["m"]] = [(a["j"], complex(a["re"], a["im"])) for a in b["atoms"]]
+        return MultiscaleSignalSpec(epsilon=d["epsilon"], N=d["N"], M=d["M"], bands=bands)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstraintError(f"malformed signal spec: {exc!r}") from exc
-    return MultiscaleSignalSpec(epsilon=epsilon, N=N, M=M, bands=bands)
 
 
 def save_spec(spec: MultiscaleSignalSpec, path) -> None:

@@ -191,7 +191,9 @@ def measured_stability_ratio(
     quadrature window is the grid hull [-J*dX, J*dX + P*dx] and the step
     resolves the fastest band oscillation with >= 32 points per period
     (capped at max_quadrature_points for very wide windows, where the
-    excess lies in negligible kernel tails).
+    excess lies in negligible kernel tails). The signal is evaluated at
+    all quadrature points in one evaluate call, in the factored form of
+    signal_model: one sine and one carrier exponential per point.
     """
     lo = -grid.J * grid.delta_X
     hi = grid.J * grid.delta_X + grid.P * grid.delta_x

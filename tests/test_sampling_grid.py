@@ -44,6 +44,33 @@ class TestBuildGrid:
         with pytest.raises(ConstraintError, match="overlap"):
             build_grid(0.5, 0.2, 3, 4)
 
+    def test_non_integral_P_rejected(self):
+        d = {"delta_X": 0.4, "delta_x": 0.01, "P": 2.6, "J": 8}
+        with pytest.raises(ConstraintError, match="P = 2.6"):
+            grid_from_dict(d)
+        with pytest.raises(ConstraintError, match="P = 2.6"):
+            build_grid(0.4, 0.01, 2.6, 8)
+
+    def test_non_integral_J_rejected(self):
+        d = {"delta_X": 0.4, "delta_x": 0.01, "P": 2, "J": 8.9}
+        with pytest.raises(ConstraintError, match="J = 8.9"):
+            grid_from_dict(d)
+        with pytest.raises(ConstraintError, match="J = 8.9"):
+            build_grid(0.4, 0.01, 2, 8.9)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        grid = grid_from_dict({"delta_X": 0.4, "delta_x": 0.01, "P": 2.0, "J": np.int64(8)})
+        assert grid == build_grid(0.4, 0.01, 2, 8)
+        assert type(grid.P) is int and type(grid.J) is int
+
+    @given(value=st.floats().filter(lambda v: not v.is_integer()))
+    @settings(max_examples=50, deadline=None)
+    def test_every_non_integral_P_J_rejected(self, value):
+        for key in ("P", "J"):
+            d = {"delta_X": 0.4, "delta_x": 0.01, "P": 2, "J": 8, key: value}
+            with pytest.raises(ConstraintError, match="not an integer"):
+                grid_from_dict(d)
+
     def test_point_bounds_checked(self):
         grid = build_grid(0.5, 0.05, 1, 2)
         with pytest.raises(ConstraintError):

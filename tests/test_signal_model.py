@@ -3,9 +3,10 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msamp import (
@@ -23,7 +24,8 @@ from msamp import (
     spectral_support,
     total_energy,
 )
-from msamp.oracle import l2_norm_quadrature
+from msamp.oracle import l2_norm_quadrature, random_valid_pair
+from msamp.signal_model import _EVAL_BLOCK
 
 from conftest import hp_coefficient, hp_evaluate, hp_sinc
 
@@ -31,6 +33,22 @@ TWO_OVER_PI = 0.63661977236758134308  # 2/pi at 20 digits
 
 
 def make_spec(bands, N=1.0, M=1, epsilon=0.1):
+    return MultiscaleSignalSpec(epsilon=epsilon, N=N, M=M, bands=bands)
+
+
+# floats that are not integers, nan and the infinities included
+non_integral = st.floats().filter(lambda v: not v.is_integer())
+
+
+@st.composite
+def random_specs(draw):
+    N = draw(st.floats(0.1, 10.0))
+    epsilon = draw(st.floats(1e-3, 0.9 / (2 * N)))
+    M = draw(st.integers(0, 4))
+    amplitude = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+    atoms = st.lists(st.tuples(st.integers(-50, 50), amplitude), max_size=4)
+    bands = draw(st.dictionaries(st.integers(-M, M), atoms, min_size=1))
+    assume(any(a != 0 for band in bands.values() for _, a in band))
     return MultiscaleSignalSpec(epsilon=epsilon, N=N, M=M, bands=bands)
 
 
@@ -82,6 +100,37 @@ class TestSpecValidation:
     def test_all_zero_rejected(self):
         with pytest.raises(ConstraintError, match="degenerate"):
             make_spec({0: [SincAtom(0, 0.0)], 1: [SincAtom(1, 0.0)]})
+
+    def test_non_integral_center_index_rejected(self):
+        with pytest.raises(ConstraintError, match="center_index = 2.9"):
+            SincAtom(2.9, 1.0)
+        with pytest.raises(ConstraintError, match="center_index = 2.9"):
+            make_spec({0: [(2.9, 1.0)]})
+
+    def test_non_integral_M_rejected(self):
+        with pytest.raises(ConstraintError, match="M = 1.7"):
+            make_spec({0: [(2, 1.0)]}, M=1.7)
+
+    def test_non_integral_band_index_rejected(self):
+        with pytest.raises(ConstraintError, match="band index = 0.6"):
+            make_spec({0.6: [(2, 1.0)]})
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        spec = make_spec({1.0: [(2.0, 1.0)], np.int64(-1): [(np.int32(3), 1j)]}, M=np.int64(1))
+        assert spec.M == 1 and type(spec.M) is int
+        assert spec.bands == {1: (SincAtom(2, 1.0),), -1: (SincAtom(3, 1j),)}
+        assert all(type(m) is int for m in spec.bands)
+        assert all(type(a.center_index) is int for a in spec.bands[-1] + spec.bands[1])
+
+    @given(value=non_integral)
+    @settings(max_examples=50, deadline=None)
+    def test_every_non_integral_M_m_j_rejected(self, value):
+        with pytest.raises(ConstraintError, match="not an integer"):
+            make_spec({0: [(0, 1.0)]}, M=value)
+        with pytest.raises(ConstraintError, match="not an integer"):
+            make_spec({value: [(0, 1.0)]}, M=3)
+        with pytest.raises(ConstraintError, match="not an integer"):
+            SincAtom(value, 1.0)
 
 
 class TestEvaluateCoefficient:
@@ -183,6 +232,91 @@ class TestEvaluate:
         assert np.max(np.abs(vals.imag)) <= 1e-12 * scale
 
 
+def evaluation_scale(spec, x):
+    """1e-15 * sum|a| * (1 + M|x|/epsilon): the allowed error of evaluate at x."""
+    total = sum(abs(a.amplitude) for atoms in spec.bands.values() for a in atoms)
+    return 1e-15 * total * (1 + spec.M * np.abs(x) / spec.epsilon)
+
+
+class TestFactoredEvaluate:
+    """The factored kernel (one sine and one carrier exponential per point)
+    against the term-by-term 50-digit hp_evaluate."""
+
+    def assert_close(self, spec, xs):
+        xs = np.asarray(xs, dtype=float)
+        got = evaluate(spec, xs)
+        want = np.array([hp_evaluate(spec, float(x)) for x in xs])
+        assert np.all(np.abs(got - want) <= evaluation_scale(spec, xs))
+
+    # (plan index, M) of the J = 512 pairs of the benchmark's campaign plan
+    @pytest.mark.parametrize("k, M", [(3, 0), (7, 1), (11, 2), (15, 3)])
+    def test_random_points_of_plan_pairs(self, k, M):
+        spec, grid = random_valid_pair(np.random.default_rng([20240601, k]), J=512, M_choices=(M,))
+        assert spec.M == M and grid.J == 512
+        half = grid.J * grid.delta_X
+        self.assert_close(spec, np.random.default_rng(k).uniform(-half, half, 40))
+
+    def test_taylor_window_off_the_lattice(self, rng):
+        spec = random_signal(seed=5, N=1.5, M=2, epsilon=0.05, atoms_per_band=3)
+        j = rng.integers(-6, 7, 40)
+        off = rng.uniform(1e-9, 1e-8, 40) * rng.choice([-1.0, 1.0], 40)
+        self.assert_close(spec, (j + off) / (2 * spec.N))
+
+    def test_snapped_points_give_the_atoms_at_the_centre(self, rng):
+        spec = random_signal(seed=6, N=1.5, M=2, epsilon=0.05, atoms_per_band=3)
+        for r in range(-5, 6):
+            x = r / (2 * spec.N) + rng.uniform(-1e-10, 1e-10)
+            at_r = {
+                m: sum(a.amplitude for a in spec.band(m) if a.center_index == r)
+                for m in spec.band_indices()
+            }
+            for m, c in at_r.items():
+                assert evaluate_coefficient(spec, m, x) == c
+            with mpmath.workdps(50):
+                phase = 2j * mpmath.pi * mpmath.mpf(x) / mpmath.mpf(spec.epsilon)
+                want = complex(sum(mpmath.mpc(c) * mpmath.exp(m * phase) for m, c in at_r.items()))
+            assert abs(evaluate(spec, x) - want) <= evaluation_scale(spec, x)
+
+    def test_atoms_sharing_a_centre(self, rng):
+        spec = make_spec(
+            {
+                0: [(1, 0.5 - 0.25j), (1, -0.75j), (-2, 1.0)],
+                1: [(0, 0.3), (0, -0.3), (2, 0.2j)],
+                -1: [(2, 1.0), (2, 1.0), (-1, 0.4 - 0.1j)],
+            }
+        )
+        self.assert_close(spec, rng.uniform(-20, 20, 40))
+        assert evaluate_coefficient(spec, 0, 0.5) == (0.5 - 0.25j) + -0.75j
+        assert evaluate_coefficient(spec, 1, 0.0) == 0
+        assert evaluate_coefficient(spec, -1, 1.0) == 2.0
+
+    def test_scalar_and_2d_input(self, rng):
+        spec = random_signal(seed=7, N=1.0, M=3, epsilon=0.02, atoms_per_band=2)
+        xs = rng.uniform(-30, 30, (3, 5))
+        vals = evaluate(spec, xs)
+        assert vals.shape == (3, 5)
+        assert np.array_equal(vals.ravel(), evaluate(spec, xs.ravel()))
+        self.assert_close(spec, xs.ravel())
+        x0 = float(xs[1, 2])
+        assert isinstance(evaluate(spec, x0), complex)
+        assert evaluate(spec, x0) == vals[1, 2]
+        coeffs = evaluate_coefficient(spec, -2, xs)
+        assert coeffs.shape == (3, 5)
+        assert evaluate_coefficient(spec, -2, x0) == coeffs[1, 2]
+        assert abs(coeffs[1, 2] - hp_coefficient(spec, -2, x0)) <= evaluation_scale(spec, 0.0)
+
+    def test_blocks_match_per_point_calls(self, rng):
+        spec = random_signal(seed=8, N=2.0, M=3, epsilon=0.03, atoms_per_band=3)
+        xs = rng.uniform(-50, 50, 3 * _EVAL_BLOCK + 17)
+        xs[::97] = np.rint(xs[::97] * 2 * spec.N) / (2 * spec.N)  # snapped points
+        vals = evaluate(spec, xs)
+        edges = [b * _EVAL_BLOCK + d for b in range(1, 4) for d in (-1, 0, 1)]
+        picks = np.concatenate([[0, xs.size - 1], edges, np.arange(0, xs.size, 97)[:50],
+                                rng.integers(0, xs.size, 150)])
+        for i in picks:
+            assert vals[i] == evaluate(spec, float(xs[i]))
+
+
 class TestSpectralSupport:
     def test_three_bands(self):
         spec = make_spec({0: [SincAtom(0, 1.0)]}, N=1.0, M=1, epsilon=0.1)
@@ -256,6 +390,12 @@ class TestSerialization:
         spec = random_signal(seed=13, N=1.25, M=2, epsilon=0.031, atoms_per_band=3)
         again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert again == spec
+
+    @given(spec=random_specs())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_of_random_specs(self, spec):
+        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
     def test_wire_schema(self):
         spec = make_spec({0: [SincAtom(0, 1.0)], 1: [SincAtom(-1, 2.0j)]})
