@@ -35,7 +35,7 @@ print(f"  sampling density          : {rep.beurling_density:.2f} "
       f"(Landau floor {rep.landau_rate:.2f}, Nyquist {rep.nyquist_rate:.2f})")
 
 system = build_vandermonde(spec, grid)
-audit = node_gap_audit(system, spec.epsilon, grid.delta_X, grid.delta_x)
+audit = node_gap_audit(system, spec.epsilon)
 print(f"\nnode separation audit (analytic lower bound "
       f"{audit.lower_bound:.4f}, upper bound 2):")
 for c in audit.checks:

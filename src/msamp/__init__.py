@@ -22,9 +22,8 @@ from .oracle import (
     save_calibration,
 )
 from .reconstruction import (
-    alias_branch,
+    alias_split,
     build_vandermonde,
-    decompose_frequency,
     reconstruct,
     reconstruct_two_band,
     reconstruction_to_csv,
@@ -37,7 +36,6 @@ from .sampling_grid import (
     grid_to_dict,
     load_grid,
     nyquist_rate,
-    points_to_csv,
     save_grid,
     validate_against,
 )

@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConstraintError
-from .reconstruction import _as_params, alias_branch, decompose_frequency, reconstruct
+from .reconstruction import _as_params, alias_split, reconstruct
 from .sampling_grid import PeriodicSamplingGrid, build_grid
 from .sampling_operator import SampleSet, sample_signal
 from .signal_model import MultiscaleSignalSpec, evaluate, random_signal, spectral_support
@@ -30,7 +30,6 @@ __all__ = [
     "l2_norm_quadrature",
     "BandSupportReport",
     "band_support_check",
-    "dft_report_to_csv",
     "interior_points",
     "reconstruction_error",
     "random_valid_grid",
@@ -150,23 +149,6 @@ def band_support_check(
     )
 
 
-def dft_report_to_csv(report: BandSupportReport, path) -> None:
-    import csv
-
-    order = np.argsort(report.bin_freqs)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_freq", "magnitude", "in_band"])
-        for i in order:
-            w.writerow(
-                [
-                    f"{report.bin_freqs[i]:.17g}",
-                    f"{report.magnitudes[i]:.17g}",
-                    int(report.in_band[i]),
-                ]
-            )
-
-
 # -- randomized valid configurations ------------------------------------
 
 
@@ -175,7 +157,7 @@ def _straddle_guard(N: float, M: int, epsilon: float, delta_X: float) -> float:
     passband edge; positive means every band folds cleanly."""
     worst = math.inf
     for m in range(-M, M + 1):
-        _, beta = alias_branch(decompose_frequency(m, epsilon, delta_X), delta_X)
+        _, beta = alias_split(m, epsilon, delta_X)
         worst = min(worst, 1 / (2 * delta_X) - N - abs(beta))
     return worst
 

@@ -1,24 +1,22 @@
 """Recovery of multiscale signals from multicoset samples.
 
-Each band carrier frequency m/epsilon splits against the coset lattice as
+Each band carrier frequency m/epsilon folds onto the coset lattice as
 
-    m/epsilon = L_m/delta_X + alpha_m,   L_m integer, alpha_m in [0, 1/delta_X),
+    m/epsilon = L_m/delta_X + beta_m,   L_m integer,
+    beta_m in (-1/(2*delta_X), 1/(2*delta_X)]  (up to a 1e-9 snap),
 
-so undersampling folds band m down to the offset alpha_m while tagging it
-with a coset-dependent phase w_m^k, w_m = exp(2*pi*i*L_m*delta_x/delta_X).
+so undersampling moves band m to the centred alias offset beta_m, the one
+the coset interpolation kernel's passband [-1/(2dX), 1/(2dX)] keeps, while
+tagging it with a coset-dependent phase w_m^k,
+w_m = exp(2*pi*i*L_m*delta_x/delta_X). alias_split computes (L_m, beta_m).
 Collecting the P+1 = 2M+1 coset interpolants at a point x yields a square
 Vandermonde system in the nodes w_m whose solution separates the bands;
 re-attaching the lattice carriers exp(2*pi*i*L_m*x/delta_X) reassembles
 the signal exactly (up to series truncation).
 
-One subtlety the plain floor split misses: the interpolation kernel's
-passband is centered, [-1/(2dX), 1/(2dX)], so the alias offset that
-actually survives lowpass filtering is the centered remainder
-beta_m in [-1/(2dX), 1/(2dX)), not alpha_m. Reconstruction therefore uses
-the branch-corrected split (L_m+1, alpha_m - 1/dX) whenever
-alpha_m > 1/(2dX). Configurations where a folded band crosses the
-passband edge (|beta_m| > 1/(2dX) - N) cannot be represented by any
-single branch and are rejected.
+Configurations where a folded band crosses the passband edge
+(|beta_m| > 1/(2dX) - N) cannot be represented by any single alias and
+are rejected.
 """
 
 from __future__ import annotations
@@ -37,12 +35,10 @@ from .sampling_operator import SampleSet, apply_coset_operator
 from .signal_model import MultiscaleSignalSpec
 
 __all__ = [
-    "FrequencySplit",
     "VandermondeSystem",
     "ReconstructedSignal",
     "SpecParams",
-    "decompose_frequency",
-    "alias_branch",
+    "alias_split",
     "build_vandermonde",
     "solve_coset_system",
     "reconstruct",
@@ -57,42 +53,24 @@ _LATTICE_SNAP = 1e-9
 SpecParams = namedtuple("SpecParams", ["N", "M", "epsilon"])
 
 
-@dataclass(frozen=True)
-class FrequencySplit:
-    """Floor decomposition m/epsilon = L/delta_X + alpha, alpha in [0, 1/delta_X)."""
+def alias_split(m: int, epsilon: float, delta_X: float) -> tuple[int, float]:
+    """Centred alias (L_eff, beta) of the band carrier m/epsilon.
 
-    m: int
-    L: int
-    alpha: float
-
-
-def decompose_frequency(m: int, epsilon: float, delta_X: float) -> FrequencySplit:
-    """Split the band carrier m/epsilon against the coset lattice 1/delta_X.
-
-    L = floor((m/epsilon) * delta_X) with a 1e-9 snap toward the next
-    integer, so exactly lattice-aligned carriers resolve to alpha = 0
-    despite rounding in the inputs.
+    m/epsilon = L_eff/delta_X + beta with beta in (-1/(2dX), 1/(2dX)]: the
+    alias that the coset kernel's centred passband keeps. The floor
+    L = floor(m*delta_X/epsilon) takes a 1e-9 snap toward the next integer,
+    so lattice-aligned carriers resolve to beta = 0 despite rounding in the
+    inputs. A remainder alpha past half a cell folds down to
+    (L + 1, alpha - 1/delta_X); exactly half a cell stays on the floor.
     """
     if epsilon <= 0 or delta_X <= 0:
         raise ConstraintError("epsilon and delta_X must be positive")
-    t = m * delta_X / epsilon
-    L = int(math.floor(t + _LATTICE_SNAP))
-    alpha = m / epsilon - L / delta_X
-    if alpha < 0:
-        # only reachable through the snap; the true remainder is zero
-        alpha = 0.0
-    return FrequencySplit(m=int(m), L=L, alpha=alpha)
-
-
-def alias_branch(split: FrequencySplit, delta_X: float) -> tuple[int, float]:
-    """Centered alias branch (L_eff, beta) with beta in [-1/(2dX), 1/(2dX)).
-
-    Identical to the floor split while alpha <= 1/(2dX); beyond the half
-    cell the surviving alias is the one folded from above.
-    """
-    if split.alpha * delta_X > 0.5 + _LATTICE_SNAP:
-        return split.L + 1, split.alpha - 1.0 / delta_X
-    return split.L, split.alpha
+    L = int(math.floor(m * delta_X / epsilon + _LATTICE_SNAP))
+    # negative only through the snap; the true remainder is zero
+    alpha = max(m / epsilon - L / delta_X, 0.0)
+    if alpha * delta_X > 0.5 + _LATTICE_SNAP:
+        return L + 1, alpha - 1.0 / delta_X
+    return L, alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +79,12 @@ class VandermondeSystem:
 
     nodes[i] = exp(2*pi*i*L_eff/delta_X * delta_x) for band band_indices[i];
     matrix[k, i] = nodes[i]**k couples coset k to band i. lattice_shifts
-    and carrier_offsets hold the branch-corrected split (L_eff, beta) used
-    for reconstruction; splits holds the floor decomposition.
+    and carrier_offsets hold each band's alias_split (L_eff, beta).
     """
 
-    M: int
     delta_X: float
     delta_x: float
     band_indices: tuple
-    splits: tuple
     lattice_shifts: tuple
     carrier_offsets: tuple
     nodes: np.ndarray
@@ -145,8 +120,7 @@ def _build_system(
     enforce_half_plane: bool = False,
 ) -> VandermondeSystem:
     band_indices = tuple(int(m) for m in band_indices)
-    splits = tuple(decompose_frequency(m, epsilon, grid.delta_X) for m in band_indices)
-    eff = [alias_branch(s, grid.delta_X) for s in splits]
+    eff = [alias_split(m, epsilon, grid.delta_X) for m in band_indices]
     shifts = tuple(L for L, _ in eff)
     offsets = tuple(b for _, b in eff)
 
@@ -191,11 +165,9 @@ def _build_system(
     k = np.arange(n)
     matrix = nodes[None, :] ** k[:, None]
     return VandermondeSystem(
-        M=max(abs(m) for m in band_indices) if band_indices else 0,
         delta_X=grid.delta_X,
         delta_x=grid.delta_x,
         band_indices=band_indices,
-        splits=splits,
         lattice_shifts=shifts,
         carrier_offsets=offsets,
         nodes=nodes,

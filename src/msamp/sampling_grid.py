@@ -10,8 +10,8 @@ the fine (microscale) offset between consecutive cosets.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "grid_from_dict",
     "save_grid",
     "load_grid",
-    "points_to_csv",
 ]
 
 
@@ -49,6 +48,11 @@ class PeriodicSamplingGrid:
         object.__setattr__(self, "delta_x", float(self.delta_x))
         object.__setattr__(self, "P", _integer(self.P, "P"))
         object.__setattr__(self, "J", _integer(self.J, "J"))
+        if not (math.isfinite(self.delta_X) and math.isfinite(self.delta_x)):
+            raise ConstraintError(
+                f"grid spacings must be finite, got delta_X={self.delta_X!r}, "
+                f"delta_x={self.delta_x!r}"
+            )
         if self.delta_X <= 0:
             raise ConstraintError("delta_X must be positive")
         if self.P < 0:
@@ -206,13 +210,3 @@ def save_grid(grid: PeriodicSamplingGrid, path) -> None:
 def load_grid(path) -> PeriodicSamplingGrid:
     with open(path, encoding="utf-8") as f:
         return grid_from_dict(json.load(f))
-
-
-def points_to_csv(grid: PeriodicSamplingGrid, path) -> None:
-    """Enumerate all grid points as CSV rows (k, j, x)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["k", "j", "x"])
-        for k in range(grid.P + 1):
-            for j in range(-grid.J, grid.J + 1):
-                w.writerow([k, j, f"{grid.point(k, j):.17g}"])

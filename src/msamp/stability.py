@@ -32,8 +32,6 @@ __all__ = [
     "measured_stability_ratio",
     "stability_report",
     "report_to_dict",
-    "report_csv_header",
-    "report_csv_row",
 ]
 
 
@@ -68,7 +66,7 @@ def two_band_stability_constant(N: float, delta_ratio: float) -> float:
     """
     if N <= 0:
         raise ConstraintError("N must be positive")
-    if not 0 < delta_ratio < 1 or delta_ratio == 0:
+    if not 0 < delta_ratio < 1:
         raise ConstraintError(f"delta_x/epsilon = {delta_ratio!r} outside (0, 1)")
     return 1.0 / (2 * N * math.sin(math.pi * delta_ratio))
 
@@ -142,19 +140,19 @@ class NodeGapAudit:
         return min((c.gap for c in self.checks), default=math.inf)
 
 
-def node_gap_audit(
-    V: VandermondeSystem, epsilon: float, delta_X: float, delta_x: float
-) -> NodeGapAudit:
+def node_gap_audit(V: VandermondeSystem, epsilon: float) -> NodeGapAudit:
     """Audit adjacent node gaps against the analytic separation bound.
 
-    Every gap between band-adjacent nodes (including the wraparound pair
-    from the largest positive band to the largest negative one) must
-    exceed |exp(2*pi*i*(1/epsilon - 1/delta_X)*delta_x) - 1| and stay
-    below 2. Comparisons run in angle space: on the unit circle the chord
+    The grid spacings delta_X and delta_x are V's own. Every gap between
+    band-adjacent nodes (including the wraparound pair from the largest
+    positive band to the largest negative one) must exceed
+    |exp(2*pi*i*(1/epsilon - 1/delta_X)*delta_x) - 1| and stay below 2.
+    Comparisons run in angle space: on the unit circle the chord
     2*sin(pi*d) is monotone in the wrapped angle fraction d in [0, 1/2],
     so comparing fractions is exact where chords of nearly equal length
     would lose precision.
     """
+    delta_X, delta_x = V.delta_X, V.delta_x
     c = (1 / epsilon - 1 / delta_X) * delta_x
     c_wrapped = min(c % 1.0, 1.0 - c % 1.0) if c > 0 else -1.0
     lower_chord = 2 * abs(math.sin(math.pi * c))
@@ -271,14 +269,3 @@ def report_to_dict(report: StabilityReport) -> dict:
     d = {k: getattr(report, k) for k in _REPORT_FIELDS}
     d["parameters"] = dict(report.parameters)
     return d
-
-
-def report_csv_header() -> list:
-    return ["N", "M", "epsilon", "delta_X", "delta_x", "P", "J"] + _REPORT_FIELDS
-
-
-def report_csv_row(report: StabilityReport) -> list:
-    p = report.parameters
-    vals = [p["N"], p["M"], p["epsilon"], p["delta_X"], p["delta_x"], p["P"], p["J"]]
-    vals += [getattr(report, k) for k in _REPORT_FIELDS]
-    return [f"{v:.17g}" if isinstance(v, float) else str(v) for v in vals]

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msamp.cli import main
 from msamp import load_calibration, load_spec, samples_from_csv
@@ -272,6 +274,15 @@ class TestStability:
         assert code == 3
         assert "singular" in capsys.readouterr().err.lower()
 
+    def test_non_finite_spacing_exit_2(self, tmp_path, capsys):
+        spec = synth(tmp_path)
+        code = run(
+            "stability", "--spec", str(spec), "--dX", "inf", "--dx", "0.03",
+            "--P", "2", "--J", "8",
+        )
+        assert code == 2
+        assert "delta_X=inf" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_monotone_C_and_determinism(self, tmp_path):
@@ -379,4 +390,25 @@ class TestConfigPrecedence:
         b = tmp_path / "b.json"
         run("synth", "--N", "1", "--M", "1", "--epsilon", "0.1",
             "--atoms", "2", "--seed", "1", "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+    @given(
+        N=st.floats(0.1, 4.0),
+        M=st.integers(0, 4),
+        epsilon=st.floats(0.005, 0.1),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_config_values_convert_as_flags(
+        self, tmp_path_factory, N, M, epsilon, seed
+    ):
+        # 2N*epsilon <= 0.8 keeps every draw a valid spec
+        tmp = tmp_path_factory.mktemp("cfg")
+        values = {"N": N, "M": M, "epsilon": epsilon, "seed": seed}
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        a, b = tmp / "a.json", tmp / "b.json"
+        assert run("synth", "--config", str(cfg), "--out", str(a)) == 0
+        flags = [arg for k, v in values.items() for arg in ("--" + k, repr(v))]
+        assert run("synth", *flags, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()

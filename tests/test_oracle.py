@@ -25,7 +25,7 @@ from msamp import (
     spectral_support,
     validate_against,
 )
-from msamp.oracle import dft_report_to_csv, interior_points
+from msamp.oracle import interior_points
 
 
 def nyquist_samples(spec, J=256, rate_margin=1.0):
@@ -153,17 +153,6 @@ class TestBandSupport:
         total = banded_energy(both)
         parts = sum(banded_energy(s) for s in lone.values())
         assert total == pytest.approx(parts, rel=1e-3)
-
-    def test_csv_export(self, tmp_path):
-        spec = random_signal(seed=1, N=1.0, M=0, epsilon=0.05, atoms_per_band=1)
-        rep = band_support_check(spec, window_length=50.0, grid_step=0.2)
-        path = tmp_path / "dft.csv"
-        dft_report_to_csv(rep, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "bin_freq,magnitude,in_band"
-        assert len(lines) == 1 + len(rep.bin_freqs)
-        freqs = [float(line.split(",")[0]) for line in lines[1:]]
-        assert freqs == sorted(freqs)
 
 
 class TestRandomValidPair:

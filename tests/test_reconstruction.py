@@ -1,4 +1,4 @@
-"""Tests for frequency splitting, Vandermonde systems, and reconstruction."""
+"""Tests for the centred alias split, Vandermonde systems, and reconstruction."""
 
 import dataclasses
 from fractions import Fraction
@@ -13,11 +13,10 @@ from msamp import (
     MultiscaleSignalSpec,
     SincAtom,
     SingularSystemError,
-    alias_branch,
+    alias_split,
     apply_coset_operator,
     build_grid,
     build_vandermonde,
-    decompose_frequency,
     evaluate,
     evaluate_coefficient,
     random_signal,
@@ -33,31 +32,30 @@ from msamp.reconstruction import _build_system
 
 
 class TestDecomposeFrequency:
+    """alias_split(m, epsilon, delta_X) -> (L_eff, beta)."""
+
     def test_zero_band(self):
-        s = decompose_frequency(0, 0.1, 0.35)
-        assert (s.L, s.alpha) == (0, 0.0)
+        assert alias_split(0, 0.1, 0.35) == (0, 0.0)
 
     def test_positive_band_rational_oracle(self):
         # exact rational arithmetic: (1/0.1)*0.35 = 3.5 -> floor 3,
-        # alpha = 10 - 3/0.35 = 10/7
-        s = decompose_frequency(1, 0.1, 0.35)
+        # beta = 10 - 3/0.35 = 10/7, exactly half a cell
+        L, beta = alias_split(1, 0.1, 0.35)
         t = Fraction(1) / Fraction("0.1") * Fraction("0.35")
         assert t == Fraction(7, 2)
-        assert s.L == 3
-        assert s.alpha == pytest.approx(float(Fraction(10, 7)), abs=1e-12)
+        assert L == 3
+        assert beta == pytest.approx(float(Fraction(10, 7)), abs=1e-12)
 
     def test_negative_band_rational_oracle(self):
-        # floor(-3.5) = -4, alpha = -10 + 4/0.35 = 10/7
-        s = decompose_frequency(-1, 0.1, 0.35)
-        assert s.L == -4
-        assert s.alpha == pytest.approx(float(Fraction(10, 7)), abs=1e-12)
+        # floor(-3.5) = -4, beta = -10 + 4/0.35 = 10/7, the same tie
+        L, beta = alias_split(-1, 0.1, 0.35)
+        assert L == -4
+        assert beta == pytest.approx(float(Fraction(10, 7)), abs=1e-12)
 
     def test_lattice_aligned_snaps_to_zero_offset(self):
         # 0.3/0.1 is 2.9999999999999996 in floats; the snap must still
         # yield the aligned split
-        s = decompose_frequency(1, 0.1, 0.3)
-        assert s.L == 3
-        assert s.alpha == 0.0
+        assert alias_split(1, 0.1, 0.3) == (3, 0.0)
 
     @given(
         m=st.integers(-5, 5),
@@ -66,29 +64,36 @@ class TestDecomposeFrequency:
     )
     @settings(max_examples=200, deadline=None)
     def test_split_identity_and_range(self, m, eps, dX):
-        s = decompose_frequency(m, eps, dX)
+        L, beta = alias_split(m, eps, dX)
         lhs = m / eps
-        rhs = s.L / dX + s.alpha
+        rhs = L / dX + beta
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
-        assert 0 <= s.alpha < 1 / dX * (1 + 1e-12)
+        assert abs(beta) * dX <= 0.5 + 1e-9
 
 
 class TestAliasBranch:
     def test_lower_branch_unchanged(self):
-        s = decompose_frequency(1, 0.1, 0.22)  # alpha = 0.909 < 1/(2dX)
-        assert alias_branch(s, 0.22) == (s.L, s.alpha)
+        # 1/0.1 = 2/0.22 + 0.909..., and 0.909 < 1/(2*0.22): the floor split
+        L, beta = alias_split(1, 0.1, 0.22)
+        assert L == 2
+        assert beta == pytest.approx(10 - 2 / 0.22, abs=1e-12)
+        assert 0 <= beta <= 1 / (2 * 0.22)
 
     def test_upper_branch_folds_down(self):
-        s = decompose_frequency(-1, 0.1, 0.22)  # alpha = 3.636 > 1/(2dX)
-        L_eff, beta = alias_branch(s, 0.22)
-        assert L_eff == s.L + 1
-        assert beta == pytest.approx(s.alpha - 1 / 0.22, abs=1e-12)
+        # the floor split of -1/0.1 is (-3, 3.636...), past the half cell;
+        # the surviving alias folds down from the next lattice line
+        L, beta = alias_split(-1, 0.1, 0.22)
+        assert L == -2
+        assert beta == pytest.approx(-10 + 2 / 0.22, abs=1e-12)
         assert -1 / (2 * 0.22) <= beta < 0
 
     def test_boundary_tie_stays_on_floor(self):
-        # alpha exactly at the half cell (up to 1 ulp): keep the floor split
-        s = decompose_frequency(1, 0.1, 0.35)
-        assert alias_branch(s, 0.35) == (s.L, s.alpha)
+        # beta exactly at the half cell (1 ulp above 1/(2dX) in floats):
+        # keep the floor split, where rounding to nearest would not
+        L, beta = alias_split(1, 0.1, 0.35)
+        assert L == 3
+        assert beta == 1.4285714285714288
+        assert beta == np.nextafter(1 / (2 * 0.35), np.inf)
 
 
 class TestBuildVandermonde:

@@ -1,5 +1,7 @@
 """Tests for multicoset grid construction, validation, and densities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from msamp import (
     grid_to_dict,
     load_grid,
     nyquist_rate,
-    points_to_csv,
     save_grid,
     spectral_support,
     validate_against,
@@ -70,6 +71,14 @@ class TestBuildGrid:
             d = {"delta_X": 0.4, "delta_x": 0.01, "P": 2, "J": 8, key: value}
             with pytest.raises(ConstraintError, match="not an integer"):
                 grid_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["delta_X", "delta_x"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_spacing_rejected(self, key, value):
+        d = {"delta_X": 0.4, "delta_x": 0.01, "P": 2, "J": 8, key: value}
+        names = f"delta_X={d['delta_X']!r}, delta_x={d['delta_x']!r}"
+        with pytest.raises(ConstraintError, match="finite.*" + re.escape(names)):
+            grid_from_dict(d)
 
     def test_point_bounds_checked(self):
         grid = build_grid(0.5, 0.05, 1, 2)
@@ -173,14 +182,3 @@ class TestSerialization:
         path = tmp_path / "grid.json"
         save_grid(grid, path)
         assert load_grid(path) == grid
-
-    def test_points_csv(self, tmp_path):
-        grid = build_grid(0.5, 0.05, 1, 2)
-        path = tmp_path / "points.csv"
-        points_to_csv(grid, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,j,x"
-        assert len(lines) == 1 + grid.n_points
-        k, j, x = lines[1].split(",")
-        assert (int(k), int(j)) == (0, -2)
-        assert float(x) == grid.point(0, -2)

@@ -2,17 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msamp import (
     ConstraintError,
     MultiscaleSignalSpec,
     SampleSet,
     SincAtom,
+    alias_split,
     apply_coset_operator,
     build_grid,
     coset_parseval_check,
-    decompose_frequency,
-    alias_branch,
     evaluate,
     evaluate_coefficient,
     random_signal,
@@ -22,6 +23,7 @@ from msamp import (
     sinc,
 )
 from msamp.sampling_grid import PeriodicSamplingGrid
+from msamp.signal_model import _SINC_SNAP_TOL
 
 from conftest import hp_coset_interpolant
 
@@ -224,15 +226,13 @@ class TestAliasingIdentity:
         )
         grid = build_grid(dX, dx, 2, J)
         samples = sample_signal(spec, grid)
-        split = decompose_frequency(1, eps, dX)
-        assert split.alpha <= 1 / (2 * dX)  # lower branch configuration
+        L, beta = alias_split(1, eps, dX)
+        assert 0 <= beta <= 1 / (2 * dX)  # lower branch configuration
         xs = rng.uniform(-J * dX / 2, J * dX / 2, 30)
         for k in range(3):
             out = apply_coset_operator(samples, k, xs)
             cm = evaluate_coefficient(spec, 1, xs)
-            pred = cm * np.exp(
-                2j * np.pi * (split.alpha * xs + (split.L / dX) * k * dx)
-            )
+            pred = cm * np.exp(2j * np.pi * (beta * xs + (L / dX) * k * dx))
             scale = np.max(np.abs(cm))
             assert np.max(np.abs(out - pred)) <= calibration.tau(J) * scale
 
@@ -244,10 +244,10 @@ class TestAliasingIdentity:
         )
         grid = build_grid(dX, dx, 2, J)
         samples = sample_signal(spec, grid)
-        split = decompose_frequency(-1, eps, dX)
-        assert split.alpha > 1 / (2 * dX)  # upper branch configuration
-        L_eff, beta = alias_branch(split, dX)
-        assert L_eff == split.L + 1 and beta < 0
+        L_eff, beta = alias_split(-1, eps, dX)
+        # the floor split, alpha in [0, 1/dX), lies past the half cell
+        L_floor, alpha = L_eff - 1, beta + 1 / dX
+        assert alpha > 1 / (2 * dX) and beta < 0  # upper branch configuration
         # points near the envelope center, where a wrong branch is O(1) off
         xs = rng.uniform(-2.0, 2.0, 30)
         k = 2
@@ -255,9 +255,7 @@ class TestAliasingIdentity:
         cm = evaluate_coefficient(spec, -1, xs)
         scale = np.max(np.abs(cm))
         pred_eff = cm * np.exp(2j * np.pi * (beta * xs + (L_eff / dX) * k * dx))
-        pred_floor = cm * np.exp(
-            2j * np.pi * (split.alpha * xs + (split.L / dX) * k * dx)
-        )
+        pred_floor = cm * np.exp(2j * np.pi * (alpha * xs + (L_floor / dX) * k * dx))
         assert np.max(np.abs(out - pred_eff)) <= calibration.tau(J) * scale
         assert np.max(np.abs(out - pred_floor)) > 0.1 * scale
 
@@ -299,6 +297,21 @@ class TestParseval:
         assert (lhs, rhs) == (0.0, 0.0)
 
 
+@st.composite
+def sample_sets(draw):
+    """Valid grids with P 0..4 and J 1..20, carrying finite complex values."""
+    P = draw(st.integers(0, 4))
+    J = draw(st.integers(1, 20))
+    delta_X = draw(st.floats(1e-3, 10.0))
+    # a single coset has no second coset to carry delta_x in the CSV
+    delta_x = 0.0 if P == 0 else draw(st.floats(0.01, 0.99)) * delta_X / P
+    grid = build_grid(delta_X, delta_x, P, J)
+    finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+    n = grid.n_points
+    values = draw(st.lists(finite, min_size=n, max_size=n))
+    return SampleSet(grid, np.array(values).reshape(P + 1, 2 * J + 1))
+
+
 class TestSampleCsv:
     def test_round_trip_exact(self, tmp_path):
         spec, grid = spec_and_grid(seed=9, J=12)
@@ -308,6 +321,43 @@ class TestSampleCsv:
         back = samples_from_csv(path)
         assert back.grid == grid
         assert np.array_equal(back.values, samples.values)
+
+    @given(samples=sample_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_exact_property(self, tmp_path_factory, samples):
+        path = tmp_path_factory.mktemp("csv") / "samples.csv"
+        samples_to_csv(samples, path)
+        back = samples_from_csv(path)
+        assert back.grid == samples.grid
+        assert np.array_equal(back.values, samples.values)
+
+    @given(
+        samples=sample_sets(),
+        edit=st.sampled_from(["duplicate", "drop", "move"]),
+        shift=st.floats(2.0, 1e3) | st.floats(-1e3, -2.0),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_edited_row_rejected_property(
+        self, tmp_path_factory, samples, edit, shift, data
+    ):
+        # a duplicated row, a dropped row, or an x moved off its lattice
+        # point by more than the kernel's snap window
+        path = tmp_path_factory.mktemp("csv") / "samples.csv"
+        samples_to_csv(samples, path)
+        lines = path.read_text().splitlines()
+        row = data.draw(st.integers(1, len(lines) - 1))
+        if edit == "duplicate":
+            lines.append(lines[row])
+        elif edit == "drop":
+            del lines[row]
+        else:
+            k, j, x, re, im = lines[row].split(",")
+            moved = float(x) + shift * _SINC_SNAP_TOL * samples.grid.delta_X
+            lines[row] = ",".join([k, j, repr(moved), re, im])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstraintError):
+            samples_from_csv(path)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

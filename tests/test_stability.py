@@ -24,7 +24,7 @@ from msamp import (
     two_band_stability_constant,
     vandermonde_inverse_norm,
 )
-from msamp.stability import report_csv_header, report_csv_row, report_to_dict
+from msamp.stability import report_to_dict
 
 # (1/2) * sin(pi*(1/0.1 - 1/0.35)*0.03)**-2 at 20 digits (mpmath, exact
 # IEEE inputs)
@@ -126,14 +126,14 @@ class TestNodeGapAudit:
     def test_single_band_trivial(self):
         grid = build_grid(0.4, 0.0, 0, 8)
         V = build_vandermonde((1.0, 0, 0.05), grid)
-        audit = node_gap_audit(V, 0.05, 0.4, 0.0)
+        audit = node_gap_audit(V, 0.05)
         assert audit.checks == () and audit.all_pass
 
     def test_three_band_case(self):
         eps, dX, dx = 0.1, 0.35, 0.03
         grid = build_grid(dX, dx, 2, 8)
         V = build_vandermonde((1.0, 1, eps), grid)
-        audit = node_gap_audit(V, eps, dX, dx)
+        audit = node_gap_audit(V, eps)
         assert len(audit.checks) == 3  # two adjacent + wraparound
         assert audit.all_pass
         assert audit.lower_bound == pytest.approx(
@@ -146,7 +146,7 @@ class TestNodeGapAudit:
         eps, dX, dx = 0.1, 0.35, 0.03
         grid = build_grid(dX, dx, 2, 8)
         V = build_vandermonde((1.0, 1, eps), grid)
-        audit = node_gap_audit(V, eps, dX, dx)
+        audit = node_gap_audit(V, eps)
         by_pair = {c.band_pair: c.gap for c in audit.checks}
         w = dict(zip(V.band_indices, V.nodes))
         for (a, b), gap in by_pair.items():
@@ -156,7 +156,7 @@ class TestNodeGapAudit:
         for seed in range(200):
             spec, grid = random_valid_pair(seed, J=8)
             V = build_vandermonde(spec, grid)
-            audit = node_gap_audit(V, spec.epsilon, grid.delta_X, grid.delta_x)
+            audit = node_gap_audit(V, spec.epsilon)
             assert audit.all_pass
 
 
@@ -216,12 +216,3 @@ class TestStabilityReport:
         d = json.loads(json.dumps(report_to_dict(rep)))
         assert d["parameters"]["P"] == 2
         assert d["vinv_norm"] == rep.vinv_norm
-
-    def test_csv_row_matches_header(self):
-        spec = random_signal(seed=3, N=1.0, M=1, epsilon=0.1, atoms_per_band=2)
-        grid = build_grid(0.22, 0.03, 2, 32)
-        rep = stability_report(spec, grid)
-        header = report_csv_header()
-        row = report_csv_row(rep)
-        assert len(header) == len(row)
-        assert float(row[header.index("C_theoretical")]) == rep.C_theoretical
