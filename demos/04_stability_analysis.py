@@ -27,7 +27,7 @@ grid = build_grid(0.22, 0.03, 2, 128)
 rep = stability_report(spec, grid)
 print("stability report:")
 print(f"  theoretical constant C    : {rep.C_theoretical:.6f}")
-print(f"  measured energy ratio     : {rep.measured_ratio:.6f}  (must be <= C)")
+print(f"  exact energy ratio        : {rep.measured_ratio:.6f}  (must be <= C)")
 print(f"  ||V^-1||_inf              : {rep.vinv_norm:.6f}")
 print(f"  Gautschi bounds           : [{rep.gautschi_lower:.6f}, {rep.gautschi_upper:.6f}]")
 print(f"  min node gap              : {rep.min_node_gap:.6f}")

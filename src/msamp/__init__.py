@@ -7,7 +7,7 @@ envelopes, samples them on periodic nonuniform (multicoset) grids at the
 Landau-optimal average rate, reconstructs them exactly through a small
 Vandermonde system per evaluation point, and verifies the associated
 stability theory (closed-form constants, Gautschi bounds, node gaps, and
-measured energy ratios).
+exact energy ratios).
 """
 
 from .errors import ConstraintError, SingularSystemError

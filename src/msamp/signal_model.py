@@ -223,9 +223,7 @@ def _synthesize(N: float, epsilon: float, bands: dict, x):
     rows: dict[int, int] = {}  # atom centre j -> its row of the kernel block
     terms = []  # (m, [(row of j, (-1)^j * sum of band m's amplitudes at j)])
     for m in sorted(bands, key=lambda m: (abs(m), m)):
-        merged: dict[int, complex] = {}
-        for a in bands[m]:
-            merged[a.center_index] = merged.get(a.center_index, 0j) + a.amplitude
+        merged = _merge_atoms(bands[m])
         if merged:
             terms.append((m, [
                 (rows.setdefault(j, len(rows)), -w if j % 2 else w)
@@ -336,11 +334,20 @@ def total_energy(spec: MultiscaleSignalSpec) -> float:
     """
     total = 0.0
     for atoms in spec.bands.values():
-        merged: dict[int, complex] = {}
-        for a in atoms:
-            merged[a.center_index] = merged.get(a.center_index, 0j) + a.amplitude
-        total += sum(abs(v) ** 2 for v in merged.values())
+        total += sum(abs(v) ** 2 for v in _merge_atoms(atoms).values())
     return total / (2 * spec.N)
+
+
+def _merge_atoms(atoms) -> dict[int, complex]:
+    """Centre index j -> sum of the amplitudes of the atoms centred at j.
+
+    Atoms that share a centre are one atom: their sum is what every exact
+    formula (energy, spectrum, synthesis) weights.
+    """
+    merged: dict[int, complex] = {}
+    for a in atoms:
+        merged[a.center_index] = merged.get(a.center_index, 0j) + a.amplitude
+    return merged
 
 
 # -- JSON wire format ---------------------------------------------------

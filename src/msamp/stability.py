@@ -2,23 +2,45 @@
 
 Covers the closed-form stability constant, two-sided Gautschi bounds on
 the infinity norm of inverse Vandermonde matrices, node-separation
-audits, and the empirically measured ratio between signal energy and
-sample energy that the stability constant is supposed to dominate.
+audits, and the exact ratio between signal energy and sample energy that
+the stability constant is supposed to dominate.
+
+The sample energy needs no evaluation of the signal. Poisson summation
+over each coset {k*dx + n*dX : n in Z} gives
+
+    sum_n |f(k*dx + n*dX)|^2
+        = (1/dX) * int_{|zeta| <= 1/(2dX)} |sum_l F(zeta + l/dX) w_l^k|^2 dzeta,
+
+with w_l = exp(2*pi*i*l*dx/dX) and F the Fourier transform of f (the
+generalized sampling expansion of Papoulis, IEEE Trans. Circuits Syst.
+24(11), 1977). Band m sits at m/epsilon = L/dX + beta (alias_split), so
+on the cell it contributes pieces: the shifts b = beta - l/dX whose
+interval [b - N, b + N] meets the cell, each with lattice shift L + l.
+A band inside the cell gives one piece; a band across the cell edge
+gives two. On its interval a piece carries the band spectrum
+G(zeta) = (1/2N) * sum_j a_j * exp(-pi*i*(zeta - b)*j/N), a
+trigonometric polynomial, so the integral is a finite Hermitian form in
+the Gram matrix of the coset phases and the exponential integrals over
+the overlaps of the pieces.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintError, SingularSystemError
-from .oracle import l2_norm_quadrature
-from .reconstruction import VandermondeSystem, build_vandermonde
-from .sampling_grid import PeriodicSamplingGrid, beurling_density, nyquist_rate
-from .sampling_operator import sample_signal
-from .signal_model import MultiscaleSignalSpec, evaluate
+from .reconstruction import VandermondeSystem, alias_split, build_vandermonde
+from .sampling_grid import (
+    PeriodicSamplingGrid,
+    beurling_density,
+    nyquist_rate,
+    validate_against,
+)
+from .signal_model import MultiscaleSignalSpec, _merge_atoms, total_energy
 
 __all__ = [
     "StabilityReport",
@@ -178,32 +200,72 @@ def node_gap_audit(V: VandermondeSystem, epsilon: float) -> NodeGapAudit:
 
 
 def measured_stability_ratio(
-    spec: MultiscaleSignalSpec,
-    grid: PeriodicSamplingGrid,
-    max_quadrature_points: int = 2_000_000,
+    spec: MultiscaleSignalSpec, grid: PeriodicSamplingGrid
 ) -> float:
-    """Quadrature energy of the signal over the truncated window divided by
-    the energy of its samples on the truncated grid.
+    """Exact ratio ||f||^2 / sum_{y in grid} |f(y)|^2 over the untruncated grid.
 
-    The stability theory bounds this ratio by stability_constant(...); the
-    quadrature window is the grid hull [-J*dX, J*dX + P*dx] and the step
-    resolves the fastest band oscillation with >= 32 points per period
-    (capped at max_quadrature_points for very wide windows, where the
-    excess lies in negligible kernel tails). The signal is evaluated at
-    all quadrature points in one evaluate call, in the factored form of
-    signal_model: one sine and one carrier exponential per point.
+    The grid is {k*dx + n*dX : k = 0..P, n in Z}; its truncation J plays
+    no part. The numerator is total_energy(spec). The denominator is
+    the sample energy of the module docstring:
+
+        E_s = (1/dX) * sum_{p,q} <w_p, w_q> * int_{I_p & I_q} conj(G_p) G_q,
+
+    over the pieces p of every band, where w_p[k] = exp(2*pi*i*L_p*k*dx/dX)
+    for k = 0..P and I_p = [b_p - N, b_p + N] cut to the cell. Each
+    pair of atoms j, j' integrates exp(i*omega*zeta) with
+    omega = pi*(j - j')/N over the overlap, so E_s is one form
+    phi^H (Gram o Integral) phi with phi = a_j * exp(i*pi*b_p*j/N). Bands
+    across the cell edge are exact too. The stability theory bounds the
+    ratio by stability_constant(...). Cost: O(((2M+1)*atoms)^2) per pair,
+    and the signal is never evaluated. The windowed-quadrature estimate of
+    the same ratio is oracle.quadrature_stability_ratio.
     """
-    lo = -grid.J * grid.delta_X
-    hi = grid.J * grid.delta_X + grid.P * grid.delta_x
-    step = min(grid.delta_x if grid.P > 0 else math.inf, spec.epsilon / (8 * max(spec.M, 1))) / 4
-    if (hi - lo) / step > max_quadrature_points:
-        step = (hi - lo) / max_quadrature_points
-    num = l2_norm_quadrature(lambda x: evaluate(spec, x), (lo, hi), step)
-    samples = sample_signal(spec, grid, check=False)
-    den = samples.total_sample_energy()
+    num = total_energy(spec)
+    den = _sample_energy(spec, grid)
     if den <= 0:
         raise ConstraintError("degenerate sample set: zero sample energy")
     return num / den
+
+
+def _sample_energy(spec: MultiscaleSignalSpec, grid: PeriodicSamplingGrid) -> float:
+    """E_s of measured_stability_ratio, one entry per (piece, atom centre)."""
+    N, dX = spec.N, grid.delta_X
+    edge = 1 / (2 * dX)
+    # a shift |l| > reach puts the whole band outside the cell; reach is 1
+    # on grids with N*dX <= 1/2, where only bands across the edge wrap
+    reach = 1 + int(N * dX)
+    shift, lo, hi, centre, phi = [], [], [], [], []
+    for m, atoms in spec.bands.items():
+        merged = _merge_atoms(atoms)
+        L, beta = alias_split(m, spec.epsilon, dX)
+        for l in range(-reach, reach + 1):
+            b = beta - l / dX
+            a, z = max(b - N, -edge), min(b + N, edge)
+            if a >= z:
+                continue
+            for j, amp in merged.items():
+                shift.append(L + l)
+                lo.append(a)
+                hi.append(z)
+                centre.append(j)
+                phi.append(amp * cmath.exp(1j * math.pi * b * j / N))
+    k = np.arange(grid.P + 1)
+    w = np.exp(2j * np.pi * np.outer(k, shift) * (grid.delta_x / dX))
+    gram = w.conj().T @ w
+    lo, hi, centre = np.array(lo), np.array(hi), np.array(centre, dtype=float)
+    start = np.maximum(lo[:, None], lo[None, :])
+    width = np.maximum(np.minimum(hi[:, None], hi[None, :]) - start, 0.0)
+    # int_start^{start+width} exp(i*omega*zeta) in its sinc form, which
+    # divides by nothing at omega = 0
+    dj = centre[:, None] - centre[None, :]
+    integral = (
+        width
+        * np.exp(1j * np.pi * dj * (start + width / 2) / N)
+        * np.sinc(dj * width / (2 * N))
+    )
+    phi = np.array(phi)
+    form = np.vdot(phi, (gram * integral) @ phi)
+    return float(form.real) / (4 * N * N * dX)
 
 
 @dataclass(frozen=True)
@@ -227,6 +289,8 @@ def stability_report(
 ) -> StabilityReport:
     """Assemble the full stability picture for a signal/grid pair."""
     system = build_vandermonde(spec, grid)
+    # after the build, so that colliding nodes still report as singular
+    validate_against(grid, spec).require_ok()
     lower, upper = gautschi_bounds(system)
     return StabilityReport(
         C_theoretical=stability_constant(

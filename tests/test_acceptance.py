@@ -35,7 +35,7 @@ from msamp import (
     vandermonde_inverse_norm,
 )
 from msamp.cli import main as cli_main
-from msamp.oracle import interior_points
+from msamp.oracle import interior_points, quadrature_stability_ratio
 
 SEED = 20240601
 N_PAIRS = 200
@@ -125,21 +125,25 @@ def test_criterion_2_classical_reduction():
 
 def test_criterion_3_stability_inequality(campaign):
     violations = 0
+    exact_violations = 0
     worst_frac = 0.0
     for spec, grid in campaign["pairs"]:
-        ratio = measured_stability_ratio(spec, grid)
+        ratio = quadrature_stability_ratio(spec, grid)
         C = stability_constant(
             spec.N, spec.M, spec.epsilon, grid.delta_X, grid.delta_x
         )
         worst_frac = max(worst_frac, ratio / C)
         if ratio > C * 1.05:
             violations += 1
-    ok = violations == 0
+        if measured_stability_ratio(spec, grid) > C:
+            exact_violations += 1
+    ok = violations == 0 and exact_violations == 0
     report(
         3,
         ok,
         f"{len(campaign['pairs'])} pairs, measured/C worst {worst_frac:.3f}, "
-        f"{violations} violations of ratio <= 1.05*C",
+        f"{violations} violations of ratio <= 1.05*C, "
+        f"{exact_violations} of exact ratio <= C",
     )
     assert ok
 

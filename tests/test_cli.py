@@ -274,6 +274,17 @@ class TestStability:
         assert code == 3
         assert "singular" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("dX, P", [("0.7", "2"), ("0.22", "4")])
+    def test_invalid_grid_exit_2(self, tmp_path, capsys, dX, P):
+        spec = synth(tmp_path, seed="5")
+        capsys.readouterr()
+        code = run(
+            "stability", "--spec", str(spec), "--dX", dX, "--dx", "0.03",
+            "--P", P, "--J", "8",
+        )
+        assert code == 2
+        assert "grid fails reconstruction constraints" in capsys.readouterr().err
+
     def test_non_finite_spacing_exit_2(self, tmp_path, capsys):
         spec = synth(tmp_path)
         code = run(

@@ -19,11 +19,14 @@ from msamp import (
     node_gap_audit,
     random_signal,
     random_valid_pair,
+    sample_signal,
     stability_constant,
     stability_report,
     two_band_stability_constant,
+    total_energy,
     vandermonde_inverse_norm,
 )
+from msamp.oracle import quadrature_stability_ratio
 from msamp.stability import report_to_dict
 
 # (1/2) * sin(pi*(1/0.1 - 1/0.35)*0.03)**-2 at 20 digits (mpmath, exact
@@ -197,6 +200,54 @@ class TestMeasuredRatio:
             assert ratio <= C * 1.05
 
 
+def _straddling_pair():
+    """Bands +-1 fold across the cell edge at delta_X = 0.42."""
+    spec = random_signal(seed=3, N=1.0, M=1, epsilon=0.1, atoms_per_band=2)
+    return spec, build_grid(0.42, 0.03, 2, 64)
+
+
+class TestExactSampleEnergy:
+    """measured_stability_ratio is exact on the untruncated grid."""
+
+    def test_matches_brute_force_sum(self):
+        spec5 = random_signal(seed=5, N=1.0, M=1, epsilon=0.1, atoms_per_band=2)
+        cases = [random_valid_pair(seed, J=64) for seed in range(2000, 2006)]
+        cases.append(_straddling_pair())
+        # P != 2M: the coset phases have P + 1 rows, not 2M + 1
+        cases.append((spec5, build_grid(0.22, 0.03, 4, 64)))
+        cases.append((spec5, build_grid(0.22, 0.0, 0, 64)))
+        spec, grid = _straddling_pair()
+        assert build_vandermonde(spec, grid).straddling_bands == (-1, 1)
+        for spec, grid in cases:
+            wide = build_grid(grid.delta_X, grid.delta_x, grid.P, 2**15)
+            brute = sample_signal(spec, wide, check=False).total_sample_energy()
+            ratio = measured_stability_ratio(spec, grid)
+            assert ratio == pytest.approx(total_energy(spec) / brute, rel=2e-4)
+
+    def test_equals_delta_X_at_M_0(self):
+        for seed in range(10):
+            spec, grid = random_valid_pair(seed, J=64, M_choices=(0,))
+            ratio = measured_stability_ratio(spec, grid)
+            assert ratio == pytest.approx(grid.delta_X, rel=1e-14)
+
+    def test_within_frame_bounds(self):
+        for seed in range(20):
+            spec, grid = random_valid_pair(seed, J=64)
+            sv = np.linalg.svd(build_vandermonde(spec, grid).matrix, compute_uv=False)
+            ratio = measured_stability_ratio(spec, grid)
+            assert grid.delta_X / sv[0] ** 2 * (1 - 1e-12) <= ratio
+            assert ratio <= grid.delta_X / sv[-1] ** 2 * (1 + 1e-12)
+
+    def test_quadrature_agrees_within_truncation(self):
+        for J in (64, 256):
+            for seed in range(20):
+                spec, grid = random_valid_pair(seed, J=J)
+                exact = measured_stability_ratio(spec, grid)
+                assert quadrature_stability_ratio(spec, grid) == pytest.approx(
+                    exact, rel=0.2 / J
+                )
+
+
 class TestStabilityReport:
     def test_fields_and_invariants(self):
         spec = random_signal(seed=3, N=1.0, M=1, epsilon=0.1, atoms_per_band=2)
@@ -216,3 +267,10 @@ class TestStabilityReport:
         d = json.loads(json.dumps(report_to_dict(rep)))
         assert d["parameters"]["P"] == 2
         assert d["vinv_norm"] == rep.vinv_norm
+
+    def test_refuses_grid_failing_constraints(self):
+        spec = random_signal(seed=5, N=1.0, M=1, epsilon=0.1, atoms_per_band=2)
+        # delta_X > 1/(2N), then P != 2M
+        for grid in (build_grid(0.7, 0.03, 2, 8), build_grid(0.22, 0.03, 4, 8)):
+            with pytest.raises(ConstraintError, match="fails reconstruction constraints"):
+                stability_report(spec, grid)
