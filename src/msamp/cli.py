@@ -18,12 +18,16 @@ as its JSON text. So integer options reject 1.7 and "x", a switch such as
 --config file or in MSAMP_SEED, is a constraint violation (exit 2). Keys
 that the running subcommand does not declare are ignored, so one file can
 serve the whole synth -> sample -> reconstruct chain.
+
+The argument parser is built once per process, on the first call of main,
+and reused by every later call, so a program that calls main in a loop
+builds the six subparsers once.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import sys
@@ -34,7 +38,7 @@ from .errors import ConstraintError, SingularSystemError
 from .oracle import calibrate_truncation, reconstruction_error, save_calibration
 from .reconstruction import build_vandermonde, reconstruct, reconstruction_to_csv
 from .sampling_grid import build_grid
-from .sampling_operator import sample_signal, samples_from_csv, samples_to_csv
+from .sampling_operator import _write_csv, sample_signal, samples_from_csv, samples_to_csv
 from .signal_model import (
     evaluate,
     load_spec,
@@ -194,9 +198,12 @@ def cmd_reconstruct(cfg: _Config) -> int:
     params = tuple(cfg.get(name) for name in ("N", "M", "epsilon"))
     if spec is None and None in params:
         raise ConstraintError("need --spec or all of --N --M --epsilon")
+    n_points = cfg.get("points", 65)
+    if n_points < 1:
+        raise ConstraintError("--points must be >= 1")
     grid = samples.grid
     half = grid.J * grid.delta_X / 2
-    xs = np.linspace(-half, half, cfg.get("points", 65))
+    xs = np.linspace(-half, half, n_points)
     rec = reconstruct(samples, spec or params, xs)
     truth = evaluate(spec, xs) if spec is not None else None
     out = cfg.require("out")
@@ -234,6 +241,8 @@ def cmd_sweep(cfg: _Config) -> int:
     n_eval = cfg.get("eval_points", 17)
     if n_points < 1:
         raise ConstraintError("--points must be >= 1")
+    if n_eval < 1:
+        raise ConstraintError("--eval-points must be >= 1")
     M = spec.M
     r_max = 1 / (2 * M + 1)
     seed = cfg.seed()
@@ -259,22 +268,8 @@ def cmd_sweep(cfg: _Config) -> int:
         rows.append(row)
 
     out = cfg.require("out")
-    with open(out, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "ratio", "delta_x", "ok", "C", "vinv_norm", "max_err"])
-        for row in rows:
-            w.writerow(
-                [
-                    row["index"],
-                    f"{row['ratio']:.17g}",
-                    f"{row['delta_x']:.17g}",
-                    row["ok"],
-                ]
-                + [
-                    f"{row[k]:.17g}" if isinstance(row[k], float) else row[k]
-                    for k in ("C", "vinv_norm", "max_err")
-                ]
-            )
+    header = ["index", "ratio", "delta_x", "ok", "C", "vinv_norm", "max_err"]
+    _write_csv(out, header, [[row[name] for row in rows] for name in header])
     n_ok = sum(r["ok"] for r in rows)
     print(f"wrote {out} ({len(rows)} rows, {n_ok} valid)")
     return 0
@@ -305,7 +300,9 @@ def _add_option(p: argparse.ArgumentParser, name: str, text: str | None) -> None
         p.add_argument(flag, type=_TYPES[name], help=text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The msamp parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="msamp",
         description="Sub-Nyquist multicoset sampling and reconstruction of "

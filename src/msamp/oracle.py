@@ -343,6 +343,8 @@ def calibrate_truncation(
     in later test campaigns; both numbers are stored.
     """
     J_values = [int(J) for J in J_values]
+    if not J_values:
+        raise ConstraintError("J_values must not be empty")
     if sorted(J_values) != J_values:
         raise ConstraintError("J_values must be ascending")
     if trials < 1:

@@ -22,7 +22,6 @@ are rejected.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import ConstraintError, SingularSystemError
 from .sampling_grid import PeriodicSamplingGrid, validate_against
-from .sampling_operator import SampleSet, apply_coset_operator
+from .sampling_operator import SampleSet, _write_csv, apply_coset_operator
 from .signal_model import MultiscaleSignalSpec
 
 __all__ = [
@@ -327,23 +326,14 @@ def reconstruction_to_csv(
 ) -> None:
     """Write (x, re_fhat, im_fhat [, re_err, im_err] [, band columns]) rows."""
     header = ["x", "re_fhat", "im_fhat"]
-    err = None
+    columns = [rec.eval_points, rec.assembled.real, rec.assembled.imag]
     if truth is not None:
-        truth = np.asarray(truth, dtype=complex)
-        err = rec.assembled - truth
+        err = rec.assembled - np.asarray(truth, dtype=complex)
         header += ["re_err", "im_err"]
-    comps = []
+        columns += [err.real, err.imag]
     if include_bands:
         for m in rec.band_indices:
+            comp = rec.band_component(m)
             header += [f"re_band_{m}", f"im_band_{m}"]
-            comps.append(rec.band_component(m))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for ix, x in enumerate(rec.eval_points):
-            row = [f"{x:.17g}", f"{rec.assembled[ix].real:.17g}", f"{rec.assembled[ix].imag:.17g}"]
-            if err is not None:
-                row += [f"{err[ix].real:.17g}", f"{err[ix].imag:.17g}"]
-            for comp in comps:
-                row += [f"{comp[ix].real:.17g}", f"{comp[ix].imag:.17g}"]
-            w.writerow(row)
+            columns += [comp.real, comp.imag]
+    _write_csv(path, header, columns)

@@ -162,58 +162,145 @@ def coset_parseval_check(
     return lhs, rhs
 
 
-# -- CSV wire format: header k,j,x,re,im; floats at 17 significant digits
+# -- CSV wire format. _write_csv is the one CSV writer: every CSV that msamp
+# writes (samples here, reconstruction.reconstruction_to_csv and the CLI's
+# sweep table) goes through it. Sample files carry the header k,j,x,re,im,
+# one row per grid point, floats at 17 significant digits, CRLF line ends.
+
+_SAMPLE_CSV_HEADER = ("k", "j", "x", "re", "im")
+# Rows formatted per write call, so the memory a write takes does not grow
+# with the file: about 80 KiB of text per call for a sample file.
+_CSV_BLOCK_ROWS = 1024
+_SAMPLE_DTYPE = np.dtype(
+    [("k", np.int64), ("j", np.int64), ("x", float), ("re", float), ("im", float)]
+)
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write header and columns as CSV, a block of rows per write.
+
+    columns holds one sequence per header field. Floats are written at 17
+    significant digits and everything else (ints, empty cells) with str;
+    a numpy column is written by its dtype. Every line ends in CRLF, as
+    csv.writer ends it.
+    """
+    fields, cells = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            floats = col.dtype.kind == "f"
+        else:
+            floats = all(isinstance(v, float) for v in col)
+            if not floats:
+                # ints as they are; floats next to empty cells each as a float
+                col = [format(v, ".17g") if isinstance(v, float) else v for v in col]
+        fields.append("{:.17g}" if floats else "{}")
+        cells.append(col)
+    row = (",".join(fields) + "\r\n").format
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(header) + "\r\n")
+        for i in range(0, len(cells[0]), _CSV_BLOCK_ROWS):
+            block = [c[i : i + _CSV_BLOCK_ROWS] for c in cells]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            f.write("".join([row(*r) for r in zip(*block)]))
 
 
 def samples_to_csv(samples: SampleSet, path) -> None:
     grid = samples.grid
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["k", "j", "x", "re", "im"])
-        for k in range(grid.P + 1):
-            for j in range(-grid.J, grid.J + 1):
-                v = samples.values[k, j + grid.J]
-                w.writerow(
-                    [k, j, f"{grid.point(k, j):.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
-                )
+    width = 2 * grid.J + 1
+    _write_csv(
+        path,
+        _SAMPLE_CSV_HEADER,
+        [
+            np.repeat(np.arange(grid.P + 1), width),
+            np.tile(grid.macro_indices(), grid.P + 1),
+            np.concatenate([grid.coset_points(k) for k in range(grid.P + 1)]),
+            samples.values.real.ravel(),
+            samples.values.imag.ravel(),
+        ],
+    )
 
 
-def samples_from_csv(path) -> SampleSet:
-    """Rebuild a SampleSet (grid included) from its CSV export."""
-    by_kj = {}
+def _parse_rows(path) -> np.ndarray:
+    """Parse the body row by row, naming the first malformed or repeated row.
+
+    np.loadtxt refuses some spellings that Python's int and float accept
+    (digit separators, non-ASCII digits, a lone CR as line end); rows that
+    int and float take are accepted here as before.
+    """
+    rows, seen = [], set()
     with open(path, newline="", encoding="utf-8") as f:
         r = csv.reader(f)
-        header = next(r)
-        if [h.strip() for h in header] != ["k", "j", "x", "re", "im"]:
-            raise ConstraintError(f"unexpected sample CSV header: {header}")
+        next(r)
         for rec in r:
             if not rec:
                 continue
             try:
-                k, j = int(rec[0]), int(rec[1])
-                x, re, im = float(rec[2]), float(rec[3]), float(rec[4])
-            except (ValueError, IndexError) as exc:
+                if len(rec) != len(_SAMPLE_CSV_HEADER):
+                    raise ValueError(f"{len(rec)} fields")
+                ints = np.array(rec[:2], dtype=np.int64)
+                floats = np.array(rec[2:], dtype=float)
+            except (ValueError, OverflowError) as exc:
                 raise ConstraintError(
                     f"sample CSV line {r.line_num} is malformed: {rec}"
                 ) from exc
-            if (k, j) in by_kj:
+            k, j = ints.tolist()
+            if (k, j) in seen:
                 raise ConstraintError(f"sample CSV repeats the row k={k}, j={j}")
-            by_kj[(k, j)] = (x, re, im)
-    if not by_kj:
+            seen.add((k, j))
+            rows.append((k, j, *floats.tolist()))
+    return np.array(rows, dtype=_SAMPLE_DTYPE)
+
+
+def samples_from_csv(path) -> SampleSet:
+    """Rebuild a SampleSet (grid included) from its CSV export.
+
+    The body is parsed in one pass; only a body that does not parse is read
+    again row by row, to name the line at fault.
+    """
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = csv.reader(f)
+        header = next(rows, [])
+        has_rows = any(rows)  # csv.reader yields [] for a blank line
+    if [h.strip() for h in header] != list(_SAMPLE_CSV_HEADER):
+        raise ConstraintError(f"unexpected sample CSV header: {header}")
+    if not has_rows:
         raise ConstraintError("sample CSV contains no rows")
-    P = max(k for k, _ in by_kj)
-    J = max(j for _, j in by_kj)
-    if set(by_kj) != {(k, j) for k in range(P + 1) for j in range(-J, J + 1)}:
+    try:
+        table = np.loadtxt(
+            path,
+            dtype=_SAMPLE_DTYPE,
+            delimiter=",",
+            skiprows=1,
+            comments=None,
+            quotechar='"',
+            ndmin=1,
+            encoding="utf-8",
+        )
+    except ValueError:
+        table = _parse_rows(path)
+    k, j = table["k"], table["j"]
+    # the first repeat in file order: lexsort is stable, so each later
+    # occurrence of a (k, j) pair follows its first one
+    order = np.lexsort((j, k))
+    repeat = (np.diff(k[order]) == 0) & (np.diff(j[order]) == 0)
+    if repeat.any():
+        i = order[1:][repeat].min()
+        raise ConstraintError(f"sample CSV repeats the row k={k[i]}, j={j[i]}")
+    P, J = int(k.max()), int(j.max())
+    width = 2 * J + 1
+    # with no repeats, (P+1)*(2J+1) rows inside the index ranges are the grid
+    if k.min() < 0 or j.min() < -J or table.size != (P + 1) * width:
         raise ConstraintError("sample CSV is not a complete (P+1) x (2J+1) grid")
-    x00 = by_kj[(0, 0)][0]
-    delta_X = by_kj[(0, 1)][0] - x00 if J >= 1 else 0.0
-    delta_x = by_kj[(1, 0)][0] - x00 if P >= 1 else 0.0
+    cell = k * width + j + J
+    xs = np.empty(table.size)
+    xs[cell] = table["x"]
+    xs = xs.reshape(P + 1, width)
+    values = np.empty(table.size, dtype=complex)
+    values.real[cell] = table["re"]
+    values.imag[cell] = table["im"]
+    delta_X = float(xs[0, J + 1] - xs[0, J]) if J >= 1 else 0.0
+    delta_x = float(xs[1, J] - xs[0, J]) if P >= 1 else 0.0
     grid = PeriodicSamplingGrid(delta_X=delta_X, delta_x=delta_x, P=P, J=J)
-    xs = np.empty((P + 1, 2 * J + 1))
-    values = np.zeros((P + 1, 2 * J + 1), dtype=complex)
-    for (k, j), (x, re, im) in by_kj.items():
-        xs[k, j + J] = x
-        values[k, j + J] = complex(re, im)
     # A point off the lattice by more than the kernel's snap window would be
     # interpolated as if it sat on the lattice.
     lattice = np.stack([grid.coset_points(k) for k in range(P + 1)])
@@ -225,4 +312,4 @@ def samples_from_csv(path) -> SampleSet:
             f"grid point {float(lattice[k, jj])!r} given by delta_X={grid.delta_X!r}, "
             f"delta_x={grid.delta_x!r}"
         )
-    return SampleSet(grid, values)
+    return SampleSet(grid, values.reshape(P + 1, width))

@@ -390,9 +390,9 @@ def spec_from_dict(d: dict) -> MultiscaleSignalSpec:
 
 
 def save_spec(spec: MultiscaleSignalSpec, path) -> None:
+    text = json.dumps(spec_to_dict(spec), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(spec_to_dict(spec), f, indent=2)
-        f.write("\n")
+        f.write(text)
 
 
 def load_spec(path) -> MultiscaleSignalSpec:

@@ -1,5 +1,7 @@
 """Shared high-precision oracles and helpers for the test suite."""
 
+import csv
+
 import mpmath
 import numpy as np
 import pytest
@@ -58,6 +60,62 @@ def hp_evaluate(spec: MultiscaleSignalSpec, x: float, dps: int = 50):
             cm = mpmath.mpc(hp_coefficient(spec, m, x, dps))
             tot += cm * mpmath.exp(2j * mpmath.pi * m * xx / eps)
         return complex(tot)
+
+
+# Reference CSV writers: one csv.writer row per line with every float at
+# 17 significant digits, kept independent of msamp's bulk writer so that
+# tests can require the same bytes from it.
+
+
+def reference_samples_csv(samples, path):
+    grid = samples.grid
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["k", "j", "x", "re", "im"])
+        for k in range(grid.P + 1):
+            for j in range(-grid.J, grid.J + 1):
+                v = samples.values[k, j + grid.J]
+                w.writerow(
+                    [k, j, f"{grid.point(k, j):.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
+                )
+
+
+def reference_reconstruction_csv(rec, path, truth=None, include_bands=False):
+    header = ["x", "re_fhat", "im_fhat"]
+    err = None
+    if truth is not None:
+        err = rec.assembled - np.asarray(truth, dtype=complex)
+        header += ["re_err", "im_err"]
+    comps = []
+    if include_bands:
+        for m in rec.band_indices:
+            header += [f"re_band_{m}", f"im_band_{m}"]
+            comps.append(rec.band_component(m))
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for ix, x in enumerate(rec.eval_points):
+            row = [f"{x:.17g}", f"{rec.assembled[ix].real:.17g}", f"{rec.assembled[ix].imag:.17g}"]
+            if err is not None:
+                row += [f"{err[ix].real:.17g}", f"{err[ix].imag:.17g}"]
+            for comp in comps:
+                row += [f"{comp[ix].real:.17g}", f"{comp[ix].imag:.17g}"]
+            w.writerow(row)
+
+
+def reference_sweep_csv(rows, path):
+    """rows: dicts of index, ratio, delta_x, ok, C, vinv_norm, max_err."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["index", "ratio", "delta_x", "ok", "C", "vinv_norm", "max_err"])
+        for row in rows:
+            w.writerow(
+                [row["index"], f"{row['ratio']:.17g}", f"{row['delta_x']:.17g}", row["ok"]]
+                + [
+                    f"{row[k]:.17g}" if isinstance(row[k], float) else row[k]
+                    for k in ("C", "vinv_norm", "max_err")
+                ]
+            )
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import csv
 import json
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from msamp.cli import main
 from msamp import load_calibration, load_spec, samples_from_csv
+
+from conftest import reference_sweep_csv
 
 
 def run(*argv):
@@ -239,6 +242,21 @@ class TestReconstruct:
         assert code == 2
         assert "straddle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    @pytest.mark.parametrize("with_spec", [True, False])
+    def test_points_below_one_exit_2(self, tmp_path, capsys, points, with_spec):
+        spec, samples = self.prepare(tmp_path)
+        truth = ["--spec", str(spec)] if with_spec else ["--N", "1", "--M", "1", "--epsilon", "0.1"]
+        out = tmp_path / "rec.csv"
+        capsys.readouterr()
+        code = run(
+            "reconstruct", "--samples", str(samples), *truth,
+            "--points", points, "--out", str(out),
+        )
+        assert code == 2
+        assert "--points must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicated_sample_row_exit_2(self, tmp_path, capsys):
         spec, samples = self.prepare(tmp_path)
         lines = samples.read_text().splitlines()
@@ -327,6 +345,40 @@ class TestSweep:
         assert all(r.split(",")[3] == "0" for r in rows)  # all skipped
 
 
+    @pytest.mark.parametrize("dX", ["0.22", "0.35"])
+    def test_bytes_match_reference_writer(self, tmp_path, dX):
+        # every row valid at dX = 0.22, every row blank at 0.35; the values
+        # read back are written again by csv.writer
+        spec = synth(tmp_path)
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "sweep", "--spec", str(spec), "--dX", dX, "--J", "16",
+            "--points", "5", "--eval-points", "4", "--seed", "3", "--out", str(out),
+        )
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        for row in rows:
+            row["index"], row["ok"] = int(row["index"]), int(row["ok"])
+            for key in ("ratio", "delta_x", "C", "vinv_norm", "max_err"):
+                row[key] = float(row[key]) if row[key] else ""
+        assert {row["ok"] for row in rows} == ({1} if dX == "0.22" else {0})
+        reference_sweep_csv(rows, tmp_path / "ref.csv")
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("eval_points", ["0", "-3"])
+    def test_eval_points_below_one_exit_2(self, tmp_path, capsys, eval_points):
+        spec = synth(tmp_path)
+        capsys.readouterr()
+        code = run(
+            "sweep", "--spec", str(spec), "--dX", "0.22", "--J", "16", "--points", "3",
+            "--eval-points", eval_points, "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert "--eval-points must be >= 1" in capsys.readouterr().err
+
+
 class TestCalibrateCommand:
     def test_writes_loadable_table(self, tmp_path):
         out = tmp_path / "cal.json"
@@ -338,6 +390,11 @@ class TestCalibrateCommand:
         table = load_calibration(out)
         assert table.j_values == (16, 32)
         assert table.seed == 11
+
+    def test_empty_J_values_exit_2(self, tmp_path, capsys):
+        code = run("calibrate", "--J-values", "", "--trials", "2", "--out", str(tmp_path / "c.json"))
+        assert code == 2
+        assert "J_values must not be empty" in capsys.readouterr().err
 
     def test_byte_reproducible_under_pinned_clock(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")

@@ -30,6 +30,8 @@ from msamp import (
 from msamp.oracle import classical_reconstruct, interior_points, random_valid_grid
 from msamp.reconstruction import _build_system
 
+from conftest import reference_reconstruction_csv
+
 
 class TestDecomposeFrequency:
     """alias_split(m, epsilon, delta_X) -> (L_eff, beta)."""
@@ -379,3 +381,19 @@ class TestCsvExport:
         assert float(row[0]) == xs[0]
         got = complex(float(row[1]), float(row[2]))
         assert got == rec.assembled[0]
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    @pytest.mark.parametrize("include_bands", [False, True])
+    @pytest.mark.parametrize("M, J", [(0, 16), (1, 32), (3, 64)])
+    def test_bytes_match_reference_writer(self, tmp_path, with_truth, include_bands, M, J):
+        rng = np.random.default_rng([M, J])
+        grid = random_valid_grid(rng, N=1.0, M=M, epsilon=0.02, J=J)
+        spec = random_signal(seed=M + J, N=1.0, M=M, epsilon=0.02, atoms_per_band=2)
+        xs = interior_points(grid, 13, rng)
+        rec = reconstruct(sample_signal(spec, grid), spec, xs)
+        truth = evaluate(spec, xs) if with_truth else None
+        reconstruction_to_csv(rec, tmp_path / "rec.csv", truth=truth, include_bands=include_bands)
+        reference_reconstruction_csv(
+            rec, tmp_path / "ref.csv", truth=truth, include_bands=include_bands
+        )
+        assert (tmp_path / "rec.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -1,5 +1,8 @@
 """Tests for the coset interpolation operator and sample handling."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +26,10 @@ from msamp import (
     sinc,
 )
 from msamp.sampling_grid import PeriodicSamplingGrid
+from msamp.sampling_operator import _write_csv
 from msamp.signal_model import _SINC_SNAP_TOL
 
-from conftest import hp_coset_interpolant
+from conftest import hp_coset_interpolant, reference_samples_csv
 
 TWO_OVER_PI = 0.63661977236758134308
 
@@ -414,3 +418,118 @@ class TestSampleCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConstraintError, match="line 4 is malformed"):
             samples_from_csv(path)
+
+    @given(samples=sample_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_reference_writer_property(self, tmp_path_factory, samples):
+        folder = tmp_path_factory.mktemp("csv")
+        samples_to_csv(samples, folder / "samples.csv")
+        reference_samples_csv(samples, folder / "reference.csv")
+        assert (folder / "samples.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("edit", [lambda r: r + ",0", lambda r: r.rsplit(",", 1)[0]])
+    def test_wrong_field_count_rejected(self, tmp_path, edit):
+        # a sixth field or a missing fifth, on the fifth line
+        spec, grid = spec_and_grid(seed=9, J=4)
+        path = tmp_path / "samples.csv"
+        samples_to_csv(sample_signal(spec, grid), path)
+        lines = path.read_text().splitlines()
+        lines[4] = edit(lines[4])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstraintError, match="line 5 is malformed"):
+            samples_from_csv(path)
+
+    def test_comment_row_malformed(self, tmp_path):
+        spec, grid = spec_and_grid(seed=9, J=4)
+        path = tmp_path / "samples.csv"
+        samples_to_csv(sample_signal(spec, grid), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "#" + lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstraintError, match="line 3 is malformed"):
+            samples_from_csv(path)
+
+    @pytest.mark.parametrize("body", ["", "\r\n", "\n\r\n\n"])
+    def test_header_only_has_no_rows(self, tmp_path, body):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(b"k,j,x,re,im\r\n" + body.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintError, match="contains no rows"):
+                samples_from_csv(path)
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ConstraintError, match="header"):
+            samples_from_csv(path)
+
+    def test_first_repeat_in_file_order(self, tmp_path):
+        spec, grid = spec_and_grid(seed=9, J=4)
+        path = tmp_path / "samples.csv"
+        samples_to_csv(sample_signal(spec, grid), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[7], lines[3]]) + "\n")
+        with pytest.raises(ConstraintError, match="repeats the row k=0, j=2"):
+            samples_from_csv(path)
+
+    def test_repeat_before_malformed_line_reported_first(self, tmp_path):
+        spec, grid = spec_and_grid(seed=9, J=4)
+        path = tmp_path / "samples.csv"
+        samples_to_csv(sample_signal(spec, grid), path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[4]
+        lines[9] = "x" + lines[9]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstraintError, match="repeats the row k=0, j=-1"):
+            samples_from_csv(path)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [("99999999999999999999", "line 7 is malformed"), ("1000000000000", "not a complete")],
+    )
+    def test_far_coset_index_rejected(self, tmp_path, k, message):
+        # past int64 the row is malformed; inside it the grid is incomplete,
+        # found without building the (P+1) x (2J+1) index set
+        spec, grid = spec_and_grid(seed=9, J=4)
+        path = tmp_path / "samples.csv"
+        samples_to_csv(sample_signal(spec, grid), path)
+        lines = path.read_text().splitlines()
+        lines[6] = ",".join([k] + lines[6].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConstraintError, match=message):
+            samples_from_csv(path)
+
+    def test_python_number_spellings_read_as_before(self, tmp_path):
+        # lone CR line ends and digit separators, which int and float accept
+        spec, grid = spec_and_grid(seed=9, J=4)
+        samples = sample_signal(spec, grid)
+        path = tmp_path / "samples.csv"
+        samples_to_csv(samples, path)
+        lines = path.read_text().splitlines()
+        k, j, x, re, im = lines[3].split(",")
+        lines[3] = ",".join([k, j, x, "1_000.5", im])
+        path.write_bytes("\r".join(lines).encode() + b"\r")
+        back = samples_from_csv(path)
+        expected = samples.values.copy()
+        expected[0, 2] = complex(1000.5, expected[0, 2].imag)
+        assert back.grid == grid
+        assert np.array_equal(back.values, expected)
+
+
+def test_writer_formats_each_cell_by_type(tmp_path):
+    # ints and empty cells as str, floats (numpy scalars too) at 17 digits
+    columns = [
+        [1, 2, 3],
+        np.array([0.1, -0.0, 1e-300]),
+        [np.float64(2 / 3), "", 7.0],
+        ["", "", ""],
+        np.array([4, 5, 6]),
+    ]
+    _write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e"], columns)
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["a", "b", "c", "d", "e"])
+        for row in zip(*columns):
+            w.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
