@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConstraintError
-from .reconstruction import _as_params, alias_split, reconstruct
+from .reconstruction import _as_params, _fold_bands, reconstruct
 from .sampling_grid import PeriodicSamplingGrid, build_grid
 from .sampling_operator import SampleSet, sample_signal
 from .signal_model import MultiscaleSignalSpec, evaluate, random_signal, spectral_support
@@ -180,16 +180,6 @@ def band_support_check(
 # -- randomized valid configurations ------------------------------------
 
 
-def _straddle_guard(N: float, M: int, epsilon: float, delta_X: float) -> float:
-    """Worst margin (in cycles) between a folded band edge and the kernel
-    passband edge; positive means every band folds cleanly."""
-    worst = math.inf
-    for m in range(-M, M + 1):
-        _, beta = alias_split(m, epsilon, delta_X)
-        worst = min(worst, 1 / (2 * delta_X) - N - abs(beta))
-    return worst
-
-
 def random_valid_grid(
     rng: np.random.Generator,
     N: float,
@@ -200,12 +190,12 @@ def random_valid_grid(
 ) -> PeriodicSamplingGrid:
     """Draw a grid satisfying the reconstruction constraints for (N, M, eps).
 
-    delta_X is uniform over (1.25*epsilon, 1/(2N)) subject to every band
-    folding clear of the kernel passband edge by at least 5% of the half
-    cell (rejection sampling; straddling configurations are not
-    reconstructible by the single-branch algorithm). When rejection runs
-    out of tries the lattice-aligned delta_X = 2*epsilon is used, which
-    folds every band exactly to center. delta_x/epsilon is uniform over
+    delta_X is uniform over (1.25*epsilon, 1/(2N)), redrawn until the
+    smallest edge margin 1/(2*delta_X) - N - |beta_m| over the bands
+    exceeds 5% of the half cell: reconstruct refuses grids on which a
+    folded band straddles the kernel passband edge. When max_tries draws
+    all fail, the lattice-aligned delta_X = 2*epsilon is used, which folds
+    every band exactly to centre. delta_x/epsilon is uniform over
     [0.5, 1]/(2M+1), the well-conditioned upper half of the admissible
     range.
     """
@@ -215,13 +205,17 @@ def random_valid_grid(
             f"no admissible delta_X for N={N}, epsilon={epsilon}: "
             f"need 2*epsilon <= 1/(2N)"
         )
+
+    def margin(dX: float) -> float:
+        return min(_fold_bands(range(-M, M + 1), N, epsilon, dX)[2])
+
     delta_X = 2 * epsilon
     for _ in range(max_tries):
         cand = rng.uniform(lo, hi)
-        if _straddle_guard(N, M, epsilon, cand) > 0.05 / (2 * cand):
+        if margin(cand) > 0.05 / (2 * cand):
             delta_X = cand
             break
-    if _straddle_guard(N, M, epsilon, delta_X) <= 0:
+    if margin(delta_X) <= 0:
         raise ConstraintError(
             f"could not find a non-straddling delta_X for N={N}, M={M}, "
             f"epsilon={epsilon}"

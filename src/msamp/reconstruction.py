@@ -79,6 +79,10 @@ class VandermondeSystem:
     nodes[i] = exp(2*pi*i*L_eff/delta_X * delta_x) for band band_indices[i];
     matrix[k, i] = nodes[i]**k couples coset k to band i. lattice_shifts
     and carrier_offsets hold each band's alias_split (L_eff, beta).
+    node_gap is the smallest pairwise node distance (inf for one node);
+    the build refuses gaps below 1e-12 on any grid. The build does not
+    check the grid constraints or where the nodes sit on the circle;
+    callers validate the grid (validate_against).
     """
 
     delta_X: float
@@ -89,6 +93,7 @@ class VandermondeSystem:
     nodes: np.ndarray
     matrix: np.ndarray
     straddling_bands: tuple
+    node_gap: float
 
     @property
     def size(self) -> int:
@@ -96,11 +101,7 @@ class VandermondeSystem:
 
     def min_node_gap(self) -> float:
         """Smallest pairwise distance between nodes."""
-        w = self.nodes
-        if len(w) < 2:
-            return math.inf
-        d = np.abs(w[:, None] - w[None, :])
-        return float(np.min(d[~np.eye(len(w), dtype=bool)]))
+        return self.node_gap
 
 
 def _as_params(spec) -> SpecParams:
@@ -111,57 +112,45 @@ def _as_params(spec) -> SpecParams:
     return SpecParams(float(N), int(M), float(eps))
 
 
+def _fold_bands(band_indices, N: float, epsilon: float, delta_X: float):
+    """(lattice shifts, carrier offsets, edge margins) of the bands.
+
+    Each band folds by alias_split to (L, beta); its margin
+    1/(2*delta_X) - N - |beta| is the room, in cycles, between the folded
+    band edge and the kernel passband edge. A negative margin means the
+    band straddles that edge.
+    """
+    shifts, offsets = zip(*[alias_split(m, epsilon, delta_X) for m in band_indices])
+    edge = 1 / (2 * delta_X) - N
+    return shifts, offsets, [edge - abs(b) for b in offsets]
+
+
 def _build_system(
-    band_indices,
-    N: float,
-    epsilon: float,
-    grid: PeriodicSamplingGrid,
-    enforce_half_plane: bool = False,
+    band_indices, N: float, epsilon: float, grid: PeriodicSamplingGrid
 ) -> VandermondeSystem:
     band_indices = tuple(int(m) for m in band_indices)
-    eff = [alias_split(m, epsilon, grid.delta_X) for m in band_indices]
-    shifts = tuple(L for L, _ in eff)
-    offsets = tuple(b for _, b in eff)
+    shifts, offsets, margins = _fold_bands(band_indices, N, epsilon, grid.delta_X)
 
     nodes = np.array(
         [cmath.exp(2j * np.pi * L * grid.delta_x / grid.delta_X) for L in shifts]
     )
-    n = len(nodes)
-
+    gaps = np.abs(nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    node_gap = float(gaps.min())
     # node collisions make the system singular; report the first pair
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(nodes[a] - nodes[b]) < 1e-12:
-                raise SingularSystemError(
-                    f"coincident Vandermonde nodes for bands "
-                    f"{band_indices[a]} and {band_indices[b]}: "
-                    f"lattice shifts {shifts[a]}, {shifts[b]} collide on the "
-                    f"unit circle (delta_x/delta_X resonance)"
-                )
+    if node_gap < 1e-12:
+        a, b = np.argwhere(gaps < 1e-12)[0]
+        raise SingularSystemError(
+            f"coincident Vandermonde nodes for bands "
+            f"{band_indices[a]} and {band_indices[b]}: "
+            f"lattice shifts {shifts[a]}, {shifts[b]} collide on the "
+            f"unit circle (delta_x/delta_X resonance)"
+        )
 
-    # for the symmetric band set, positive bands must sit on the upper
-    # half circle and negative bands on the lower one; holds whenever the
-    # grid constraints do
-    if enforce_half_plane:
-        for m, L in zip(band_indices, shifts):
-            if m == 0:
-                continue
-            frac = (L * grid.delta_x / grid.delta_X) % 1.0
-            upper = 0.0 < frac < 0.5
-            if (m > 0 and not upper) or (m < 0 and not (0.5 < frac < 1.0)):
-                raise ConstraintError(
-                    f"node for band {m} left its half plane (angle fraction "
-                    f"{frac:.6g}); grid constraints are violated"
-                )
-
-    edge = 1.0 / (2 * grid.delta_X) - N
     straddling = tuple(
-        m
-        for m, b in zip(band_indices, offsets)
-        if abs(b) > edge + 1e-12 / grid.delta_X
+        m for m, g in zip(band_indices, margins) if g < -1e-12 / grid.delta_X
     )
-
-    k = np.arange(n)
+    k = np.arange(len(nodes))
     matrix = nodes[None, :] ** k[:, None]
     return VandermondeSystem(
         delta_X=grid.delta_X,
@@ -172,6 +161,7 @@ def _build_system(
         nodes=nodes,
         matrix=matrix,
         straddling_bands=straddling,
+        node_gap=node_gap,
     )
 
 
@@ -179,15 +169,14 @@ def build_vandermonde(spec, grid: PeriodicSamplingGrid) -> VandermondeSystem:
     """System for the symmetric band set -M..M of `spec` on `grid`.
 
     `spec` may be a MultiscaleSignalSpec or an (N, M, epsilon) tuple.
-    Verifies node distinctness (SingularSystemError names the colliding
-    bands) and the half-plane split of positive/negative bands. Bands
-    whose folded spectrum crosses the kernel passband edge are recorded in
+    Nodes closer than 1e-12 raise SingularSystemError, which names the
+    colliding bands; this check runs on any grid. The grid constraints are
+    not checked here, so callers validate (validate_against). Bands whose
+    folded spectrum crosses the kernel passband edge are recorded in
     straddling_bands; reconstruction refuses to run on those.
     """
     p = _as_params(spec)
-    return _build_system(
-        range(-p.M, p.M + 1), p.N, p.epsilon, grid, enforce_half_plane=True
-    )
+    return _build_system(range(-p.M, p.M + 1), p.N, p.epsilon, grid)
 
 
 def solve_coset_system(V: VandermondeSystem, coset_values) -> np.ndarray:

@@ -70,10 +70,6 @@ class PeriodicSamplingGrid:
             )
 
     @property
-    def n_cosets(self) -> int:
-        return self.P + 1
-
-    @property
     def n_points(self) -> int:
         return (self.P + 1) * (2 * self.J + 1)
 

@@ -172,9 +172,6 @@ class MultiscaleSignalSpec:
             raise ConstraintError(f"band index {m} outside [-{self.M}, {self.M}]")
         return self.bands.get(int(m), ())
 
-    def band_indices(self) -> list[int]:
-        return list(range(-self.M, self.M + 1))
-
 
 @dataclass(frozen=True)
 class SpectralSupport:
@@ -184,9 +181,6 @@ class SpectralSupport:
 
     def total_measure(self) -> float:
         return float(sum(hi - lo for lo, hi in self.intervals))
-
-    def contains(self, freq: float) -> bool:
-        return any(lo <= freq <= hi for lo, hi in self.intervals)
 
 
 def evaluate_coefficient(spec: MultiscaleSignalSpec, m: int, x):

@@ -289,7 +289,8 @@ def stability_report(
 ) -> StabilityReport:
     """Assemble the full stability picture for a signal/grid pair."""
     system = build_vandermonde(spec, grid)
-    # after the build, so that colliding nodes still report as singular
+    # after the build, whose node-gap check runs on any grid, so that
+    # colliding nodes report as singular even where the grid is invalid
     validate_against(grid, spec).require_ok()
     lower, upper = gautschi_bounds(system)
     return StabilityReport(

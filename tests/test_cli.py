@@ -292,6 +292,19 @@ class TestStability:
         assert code == 3
         assert "singular" in capsys.readouterr().err.lower()
 
+    def test_near_coincident_nodes_on_valid_grid_exit_3(self, tmp_path, capsys):
+        # delta_x = 1e-14 passes the cap epsilon/(2M+1) = 0.033, but the
+        # nodes of bands -1 and 0 lie within 1e-12 of each other
+        spec = synth(tmp_path, seed="5")
+        capsys.readouterr()
+        code = run(
+            "stability", "--spec", str(spec), "--dX", "0.22", "--dx", "1e-14",
+            "--P", "2", "--J", "8",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "coincident Vandermonde nodes for bands -1 and 0" in err
+
     @pytest.mark.parametrize("dX, P", [("0.7", "2"), ("0.22", "4")])
     def test_invalid_grid_exit_2(self, tmp_path, capsys, dX, P):
         spec = synth(tmp_path, seed="5")

@@ -26,9 +26,10 @@ from msamp import (
     reconstruction_to_csv,
     sample_signal,
     solve_coset_system,
+    validate_against,
 )
 from msamp.oracle import classical_reconstruct, interior_points, random_valid_grid
-from msamp.reconstruction import _build_system
+from msamp.reconstruction import SpecParams, _build_system
 
 from conftest import reference_reconstruction_csv
 
@@ -131,6 +132,35 @@ class TestBuildVandermonde:
         grid = build_grid(0.35, 0.35 / 3, 2, 8)
         with pytest.raises(SingularSystemError, match="bands"):
             build_vandermonde((1.0, 1, 0.1), grid)
+
+    @given(
+        N=st.floats(0.2, 4.0),
+        M=st.integers(1, 8),
+        log_eps=st.floats(-6.0, 0.0),
+        log_u=st.floats(-9.0, 0.0),
+        log_s=st.floats(-16.0, 0.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_node_angles_ordered_on_valid_grids(self, N, M, log_eps, log_u, log_s):
+        # on a valid grid theta_m = L_m*dx/dX increases strictly with m
+        # inside (-1/2, 1/2), which puts positive bands on the upper half
+        # circle and negative bands on the lower one
+        eps = 10**log_eps
+        hi = 1 / (2 * N)
+        if eps >= hi:
+            return
+        dX = eps + 10**log_u * (hi - eps)
+        dx = 10**log_s * eps / (2 * M + 1)
+        grid = build_grid(dX, dx, 2 * M, 4)
+        if not validate_against(grid, SpecParams(N, M, eps)).ok:
+            return
+        theta = np.array(
+            [alias_split(m, eps, dX)[0] * dx / dX for m in range(-M, M + 1)]
+        )
+        assert theta[M] == 0
+        assert np.all(np.abs(theta) < 0.5)
+        assert np.all(np.diff(theta) >= dx * (1 / eps - 1 / dX) * (1 - 1e-9))
+        assert np.all(np.diff(theta) > 0)
 
     def test_straddling_band_recorded(self):
         grid = build_grid(0.35, 0.03, 2, 8)
@@ -293,6 +323,17 @@ class TestReconstruct:
         grid = build_grid(0.35, 0.03, 2, 16)
         samples = sample_signal(spec, grid)
         with pytest.raises(ConstraintError, match="straddle"):
+            reconstruct(samples, spec, [0.0])
+
+    def test_near_coincident_nodes_on_valid_grid_raise(self):
+        # delta_x = 1e-14 is far below the cap epsilon/(2M+1): the grid is
+        # valid, but the nodes of bands -1 and 0 lie within 1e-12 of each
+        # other, where cond(V) would be about 1e27
+        spec = random_signal(seed=5, N=1.0, M=1, epsilon=0.1, atoms_per_band=2)
+        grid = build_grid(0.22, 1e-14, 2, 8)
+        assert validate_against(grid, spec).ok
+        samples = sample_signal(spec, grid)
+        with pytest.raises(SingularSystemError, match="bands -1 and 0"):
             reconstruct(samples, spec, [0.0])
 
 

@@ -268,7 +268,7 @@ class TestFactoredEvaluate:
             x = r / (2 * spec.N) + rng.uniform(-1e-10, 1e-10)
             at_r = {
                 m: sum(a.amplitude for a in spec.band(m) if a.center_index == r)
-                for m in spec.band_indices()
+                for m in range(-spec.M, spec.M + 1)
             }
             for m, c in at_r.items():
                 assert evaluate_coefficient(spec, m, x) == c
