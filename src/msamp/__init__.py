@@ -32,11 +32,7 @@ from .reconstruction import (
 from .sampling_grid import (
     beurling_density,
     build_grid,
-    grid_from_dict,
-    grid_to_dict,
-    load_grid,
     nyquist_rate,
-    save_grid,
     validate_against,
 )
 from .sampling_operator import (

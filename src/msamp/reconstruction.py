@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConstraintError, SingularSystemError
 from .sampling_grid import PeriodicSamplingGrid, validate_against
 from .sampling_operator import SampleSet, _write_csv, apply_coset_operator
-from .signal_model import MultiscaleSignalSpec
+from .signal_model import MultiscaleSignalSpec, _integer
 
 __all__ = [
     "VandermondeSystem",
@@ -99,17 +99,13 @@ class VandermondeSystem:
     def size(self) -> int:
         return len(self.band_indices)
 
-    def min_node_gap(self) -> float:
-        """Smallest pairwise distance between nodes."""
-        return self.node_gap
-
 
 def _as_params(spec) -> SpecParams:
     """(N, M, epsilon) of a MultiscaleSignalSpec or of an (N, M, epsilon) tuple."""
     if isinstance(spec, MultiscaleSignalSpec):
         return SpecParams(spec.N, spec.M, spec.epsilon)
     N, M, eps = spec
-    return SpecParams(float(N), int(M), float(eps))
+    return SpecParams(float(N), _integer(M, "M"), float(eps))
 
 
 def _fold_bands(band_indices, N: float, epsilon: float, delta_X: float):
@@ -123,6 +119,31 @@ def _fold_bands(band_indices, N: float, epsilon: float, delta_X: float):
     shifts, offsets = zip(*[alias_split(m, epsilon, delta_X) for m in band_indices])
     edge = 1 / (2 * delta_X) - N
     return shifts, offsets, [edge - abs(b) for b in offsets]
+
+
+def _band_pieces(beta: float, N: float, delta_X: float) -> list:
+    """Pieces (l, b, lo, hi) of a band folded to offset beta, on the cell.
+
+    The copies [b - N, b + N] of the band at b = beta - l/delta_X, in
+    ascending l, that meet the cell |zeta| <= 1/(2*delta_X), each cut to
+    the cell as [lo, hi]; piece l carries the lattice shift L + l. A copy
+    with |l| > 1 + floor(N*delta_X) lies outside the cell, so on grids with
+    N*delta_X < 1 only a band across the cell edge wraps, to l = -1 or 1.
+    """
+    edge = 1 / (2 * delta_X)
+    reach = 1 + int(N * delta_X)
+    pieces = []
+    for l in range(-reach, reach + 1):
+        b = beta - l / delta_X
+        lo, hi = max(b - N, -edge), min(b + N, edge)
+        if lo < hi:
+            pieces.append((l, b, lo, hi))
+    return pieces
+
+
+def _vandermonde(nodes: np.ndarray) -> np.ndarray:
+    """V[k, i] = nodes[i]**k for k = 0..len(nodes)-1."""
+    return nodes[None, :] ** np.arange(len(nodes))[:, None]
 
 
 def _build_system(
@@ -140,18 +161,19 @@ def _build_system(
     # node collisions make the system singular; report the first pair
     if node_gap < 1e-12:
         a, b = np.argwhere(gaps < 1e-12)[0]
+        # a tiny delta_x puts the ratio near 0, a resonance near another integer
+        turns = (shifts[a] - shifts[b]) * grid.delta_x / grid.delta_X
         raise SingularSystemError(
             f"coincident Vandermonde nodes for bands "
             f"{band_indices[a]} and {band_indices[b]}: "
-            f"lattice shifts {shifts[a]}, {shifts[b]} collide on the "
-            f"unit circle (delta_x/delta_X resonance)"
+            f"lattice shifts {shifts[a]}, {shifts[b]} put them within 1e-12 "
+            f"on the unit circle, as (L_a - L_b)*delta_x/delta_X = {turns:.3g} "
+            f"is within 1e-12 of an integer"
         )
 
     straddling = tuple(
         m for m, g in zip(band_indices, margins) if g < -1e-12 / grid.delta_X
     )
-    k = np.arange(len(nodes))
-    matrix = nodes[None, :] ** k[:, None]
     return VandermondeSystem(
         delta_X=grid.delta_X,
         delta_x=grid.delta_x,
@@ -159,7 +181,7 @@ def _build_system(
         lattice_shifts=shifts,
         carrier_offsets=offsets,
         nodes=nodes,
-        matrix=matrix,
+        matrix=_vandermonde(nodes),
         straddling_bands=straddling,
         node_gap=node_gap,
     )

@@ -10,7 +10,6 @@ the fine (microscale) offset between consecutive cosets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,10 +26,6 @@ __all__ = [
     "validate_against",
     "beurling_density",
     "nyquist_rate",
-    "grid_to_dict",
-    "grid_from_dict",
-    "save_grid",
-    "load_grid",
 ]
 
 
@@ -88,11 +83,6 @@ class PeriodicSamplingGrid:
         if not 0 <= k <= self.P:
             raise ConstraintError(f"coset index {k} outside 0..{self.P}")
         return self.macro_indices() * self.delta_X + k * self.delta_x
-
-    def all_points(self) -> np.ndarray:
-        """Every grid point, sorted ascending."""
-        pts = np.concatenate([self.coset_points(k) for k in range(self.P + 1)])
-        return np.sort(pts)
 
 
 def build_grid(delta_X: float, delta_x: float, P: int, J: int) -> PeriodicSamplingGrid:
@@ -182,27 +172,3 @@ def beurling_density(grid: PeriodicSamplingGrid) -> float:
 def nyquist_rate(spec: MultiscaleSignalSpec) -> float:
     """Uniform-sampling rate for the full band: 2*(N + M/epsilon)."""
     return 2 * (spec.N + spec.M / spec.epsilon)
-
-
-# -- serialization ------------------------------------------------------
-
-
-def grid_to_dict(grid: PeriodicSamplingGrid) -> dict:
-    return {"delta_X": grid.delta_X, "delta_x": grid.delta_x, "P": grid.P, "J": grid.J}
-
-
-def grid_from_dict(d: dict) -> PeriodicSamplingGrid:
-    return PeriodicSamplingGrid(
-        delta_X=d["delta_X"], delta_x=d["delta_x"], P=d["P"], J=d["J"]
-    )
-
-
-def save_grid(grid: PeriodicSamplingGrid, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(grid_to_dict(grid), f, indent=2)
-        f.write("\n")
-
-
-def load_grid(path) -> PeriodicSamplingGrid:
-    with open(path, encoding="utf-8") as f:
-        return grid_from_dict(json.load(f))

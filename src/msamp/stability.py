@@ -13,11 +13,10 @@ over each coset {k*dx + n*dX : n in Z} gives
 
 with w_l = exp(2*pi*i*l*dx/dX) and F the Fourier transform of f (the
 generalized sampling expansion of Papoulis, IEEE Trans. Circuits Syst.
-24(11), 1977). Band m sits at m/epsilon = L/dX + beta (alias_split), so
-on the cell it contributes pieces: the shifts b = beta - l/dX whose
-interval [b - N, b + N] meets the cell, each with lattice shift L + l.
-A band inside the cell gives one piece; a band across the cell edge
-gives two. On its interval a piece carries the band spectrum
+24(11), 1977). Band m folds to m/epsilon = L/dX + beta, and on the cell
+it contributes the pieces that reconstruction._band_pieces lists: one
+for a band inside the cell, two for a band across its edge, each with
+lattice shift L + l. On its interval a piece carries the band spectrum
 G(zeta) = (1/2N) * sum_j a_j * exp(-pi*i*(zeta - b)*j/N), a
 trigonometric polynomial, so the integral is a finite Hermitian form in
 the Gram matrix of the coset phases and the exponential integrals over
@@ -33,7 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, SingularSystemError
-from .reconstruction import VandermondeSystem, alias_split, build_vandermonde
+from .reconstruction import (
+    VandermondeSystem,
+    _band_pieces,
+    _fold_bands,
+    _vandermonde,
+    build_vandermonde,
+)
 from .sampling_grid import (
     PeriodicSamplingGrid,
     beurling_density,
@@ -127,12 +132,14 @@ def gautschi_bounds(nodes) -> tuple[float, float]:
 def vandermonde_inverse_norm(V_or_nodes) -> float:
     """||V^{-1}||_inf by explicit inversion (matrix orders here are tiny).
 
-    V[k, l] = w_l^k; the norm is the maximum absolute row sum of the
-    inverse.
+    Inverts the system's own matrix, or the Vandermonde matrix
+    V[k, l] = w_l^k of raw nodes; the norm is the maximum absolute row sum
+    of the inverse.
     """
-    w = _node_array(V_or_nodes)
-    n = len(w)
-    V = w[None, :] ** np.arange(n)[:, None]
+    if isinstance(V_or_nodes, VandermondeSystem):
+        V = V_or_nodes.matrix
+    else:
+        V = _vandermonde(_node_array(V_or_nodes))
     try:
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
@@ -156,10 +163,6 @@ class NodeGapAudit:
     @property
     def all_pass(self) -> bool:
         return all(c.above_lower and c.below_two for c in self.checks)
-
-    @property
-    def min_gap(self) -> float:
-        return min((c.gap for c in self.checks), default=math.inf)
 
 
 def node_gap_audit(V: VandermondeSystem, epsilon: float) -> NodeGapAudit:
@@ -228,21 +231,16 @@ def measured_stability_ratio(
 
 
 def _sample_energy(spec: MultiscaleSignalSpec, grid: PeriodicSamplingGrid) -> float:
-    """E_s of measured_stability_ratio, one entry per (piece, atom centre)."""
+    """E_s of measured_stability_ratio, one entry per (piece, atom centre).
+
+    The pieces of each band are reconstruction._band_pieces of its fold.
+    """
     N, dX = spec.N, grid.delta_X
-    edge = 1 / (2 * dX)
-    # a shift |l| > reach puts the whole band outside the cell; reach is 1
-    # on grids with N*dX <= 1/2, where only bands across the edge wrap
-    reach = 1 + int(N * dX)
+    shifts, offsets, _ = _fold_bands(spec.bands, N, spec.epsilon, dX)
     shift, lo, hi, centre, phi = [], [], [], [], []
-    for m, atoms in spec.bands.items():
+    for atoms, L, beta in zip(spec.bands.values(), shifts, offsets):
         merged = _merge_atoms(atoms)
-        L, beta = alias_split(m, spec.epsilon, dX)
-        for l in range(-reach, reach + 1):
-            b = beta - l / dX
-            a, z = max(b - N, -edge), min(b + N, edge)
-            if a >= z:
-                continue
+        for l, b, a, z in _band_pieces(beta, N, dX):
             for j, amp in merged.items():
                 shift.append(L + l)
                 lo.append(a)
@@ -300,7 +298,7 @@ def stability_report(
         vinv_norm=vandermonde_inverse_norm(system),
         gautschi_lower=lower,
         gautschi_upper=upper,
-        min_node_gap=system.min_node_gap(),
+        min_node_gap=system.node_gap,
         measured_ratio=measured_stability_ratio(spec, grid),
         beurling_density=beurling_density(grid),
         landau_rate=(2 * spec.M + 1) * 2 * spec.N,

@@ -304,6 +304,7 @@ class TestStability:
         assert code == 3
         err = capsys.readouterr().err
         assert "coincident Vandermonde nodes for bands -1 and 0" in err
+        assert "delta_x/delta_X = -9.09e-14 is within 1e-12 of an integer" in err
 
     @pytest.mark.parametrize("dX, P", [("0.7", "2"), ("0.22", "4")])
     def test_invalid_grid_exit_2(self, tmp_path, capsys, dX, P):

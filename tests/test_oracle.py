@@ -195,6 +195,15 @@ class TestCalibration:
         assert table.trials >= 30
         assert table.generated_at
 
+    def test_committed_table_regenerates(self):
+        # the committed seed and trial count give the committed measurements
+        # back, so a change that moves them (in the kernels or in the
+        # random_valid_grid draw) shows here and must regenerate the table
+        table = load_default_calibration()
+        fresh = calibrate_truncation(table.j_values, trials=table.trials, seed=table.seed)
+        for J in table.j_values:
+            assert fresh.measured[J] == pytest.approx(table.measured[J], rel=1e-6)
+
     def test_file_round_trip(self, tmp_path):
         table = calibrate_truncation([16, 32], trials=2, seed=5)
         path = tmp_path / "cal.json"

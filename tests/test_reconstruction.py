@@ -29,7 +29,7 @@ from msamp import (
     validate_against,
 )
 from msamp.oracle import classical_reconstruct, interior_points, random_valid_grid
-from msamp.reconstruction import SpecParams, _build_system
+from msamp.reconstruction import SpecParams, _band_pieces, _build_system, _fold_bands
 
 from conftest import reference_reconstruction_csv
 
@@ -168,6 +168,45 @@ class TestBuildVandermonde:
         assert set(V.straddling_bands) == {-1, 1}
         clear = build_vandermonde((1.0, 1, 0.1), build_grid(0.22, 0.03, 2, 8))
         assert clear.straddling_bands == ()
+
+    def test_non_integral_M_rejected(self):
+        # a tuple M is not cut to an integer: 2.9 would build bands -2..2
+        grid = build_grid(0.22, 0.03, 2, 8)
+        with pytest.raises(ConstraintError, match="M = 2.9"):
+            build_vandermonde((1.0, 2.9, 0.1), grid)
+        spec = random_signal(seed=5, N=1.0, M=1, epsilon=0.1, atoms_per_band=2)
+        samples = sample_signal(spec, grid)
+        with pytest.raises(ConstraintError, match="M = 1.7"):
+            reconstruct(samples, (1.0, 1.7, 0.1), [0.0])
+
+
+class TestBandPieces:
+    def test_pieces_tile_each_band_on_valid_grids(self):
+        # cut to the cell, the pieces of a band cover its width 2N; a band
+        # inside the cell is one piece, one across the edge is two, the
+        # second wrapped by one lattice step
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        straddling = 0
+        for _ in range(3000):
+            N = rng.uniform(0.2, 4.0)
+            M = int(rng.integers(0, 9))
+            hi = 1 / (2 * N)
+            eps = 10 ** rng.uniform(-4, np.log10(hi))
+            dX = hi - rng.uniform() * (hi - eps)
+            _, offsets, margins = _fold_bands(range(-M, M + 1), N, eps, dX)
+            for beta, margin in zip(offsets, margins):
+                pieces = _band_pieces(beta, N, dX)
+                width = sum(b - a for _, _, a, b in pieces)
+                worst = max(worst, abs(width - 2 * N) / (2 * N))
+                assert {l for l, *_ in pieces} <= {-1, 0, 1}
+                if margin >= 0:
+                    assert len(pieces) == 1
+                elif margin < -1e-12 / dX:
+                    assert len(pieces) == 2
+                    straddling += 1
+        assert worst <= 1e-11
+        assert straddling > 1000
 
 
 class TestSolve:
@@ -333,8 +372,11 @@ class TestReconstruct:
         grid = build_grid(0.22, 1e-14, 2, 8)
         assert validate_against(grid, spec).ok
         samples = sample_signal(spec, grid)
-        with pytest.raises(SingularSystemError, match="bands -1 and 0"):
+        with pytest.raises(SingularSystemError, match="bands -1 and 0") as exc:
             reconstruct(samples, spec, [0.0])
+        assert "delta_x/delta_X = -9.09e-14 is within 1e-12 of an integer" in str(
+            exc.value
+        )
 
 
 def two_band_setup(ratio=0.5, J=256, seed=4):

@@ -13,14 +13,11 @@ from msamp import (
     SincAtom,
     beurling_density,
     build_grid,
-    grid_from_dict,
-    grid_to_dict,
-    load_grid,
     nyquist_rate,
-    save_grid,
     spectral_support,
     validate_against,
 )
+from msamp.sampling_grid import PeriodicSamplingGrid
 
 
 def simple_spec(N=1.0, M=1, epsilon=0.1):
@@ -39,7 +36,8 @@ class TestBuildGrid:
     def test_three_cosets_enumeration(self):
         grid = build_grid(0.5, 0.05, 2, 1)
         expected = [-0.5, -0.45, -0.40, 0.0, 0.05, 0.10, 0.5, 0.55, 0.60]
-        np.testing.assert_allclose(grid.all_points(), sorted(expected), atol=1e-15)
+        points = np.sort(np.concatenate([grid.coset_points(k) for k in range(3)]))
+        np.testing.assert_allclose(points, sorted(expected), atol=1e-15)
 
     def test_coset_overlap_rejected(self):
         with pytest.raises(ConstraintError, match="overlap"):
@@ -48,19 +46,19 @@ class TestBuildGrid:
     def test_non_integral_P_rejected(self):
         d = {"delta_X": 0.4, "delta_x": 0.01, "P": 2.6, "J": 8}
         with pytest.raises(ConstraintError, match="P = 2.6"):
-            grid_from_dict(d)
+            PeriodicSamplingGrid(**d)
         with pytest.raises(ConstraintError, match="P = 2.6"):
             build_grid(0.4, 0.01, 2.6, 8)
 
     def test_non_integral_J_rejected(self):
         d = {"delta_X": 0.4, "delta_x": 0.01, "P": 2, "J": 8.9}
         with pytest.raises(ConstraintError, match="J = 8.9"):
-            grid_from_dict(d)
+            PeriodicSamplingGrid(**d)
         with pytest.raises(ConstraintError, match="J = 8.9"):
             build_grid(0.4, 0.01, 2, 8.9)
 
     def test_integral_floats_and_numpy_integers_accepted(self):
-        grid = grid_from_dict({"delta_X": 0.4, "delta_x": 0.01, "P": 2.0, "J": np.int64(8)})
+        grid = PeriodicSamplingGrid(delta_X=0.4, delta_x=0.01, P=2.0, J=np.int64(8))
         assert grid == build_grid(0.4, 0.01, 2, 8)
         assert type(grid.P) is int and type(grid.J) is int
 
@@ -70,7 +68,7 @@ class TestBuildGrid:
         for key in ("P", "J"):
             d = {"delta_X": 0.4, "delta_x": 0.01, "P": 2, "J": 8, key: value}
             with pytest.raises(ConstraintError, match="not an integer"):
-                grid_from_dict(d)
+                PeriodicSamplingGrid(**d)
 
     @pytest.mark.parametrize("key", ["delta_X", "delta_x"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -78,7 +76,7 @@ class TestBuildGrid:
         d = {"delta_X": 0.4, "delta_x": 0.01, "P": 2, "J": 8, key: value}
         names = f"delta_X={d['delta_X']!r}, delta_x={d['delta_x']!r}"
         with pytest.raises(ConstraintError, match="finite.*" + re.escape(names)):
-            grid_from_dict(d)
+            PeriodicSamplingGrid(**d)
 
     def test_point_bounds_checked(self):
         grid = build_grid(0.5, 0.05, 1, 2)
@@ -98,7 +96,8 @@ class TestBuildGrid:
         dx = 0.0 if P == 0 else frac * dX / max(P, 1)
         grid = build_grid(dX, dx, P, J)
         assert grid.n_points == (P + 1) * (2 * J + 1)
-        assert len(grid.all_points()) == grid.n_points
+        points = np.concatenate([grid.coset_points(k) for k in range(P + 1)])
+        assert len(points) == grid.n_points
 
 
 class TestValidateAgainst:
@@ -173,12 +172,3 @@ class TestDensities:
             if prev is not None:
                 assert ratio < prev
             prev = ratio
-
-
-class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
-        grid = build_grid(0.35, 0.03, 2, 16)
-        assert grid_from_dict(grid_to_dict(grid)) == grid
-        path = tmp_path / "grid.json"
-        save_grid(grid, path)
-        assert load_grid(path) == grid
