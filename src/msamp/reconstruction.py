@@ -264,6 +264,10 @@ def _recover(
 ) -> ReconstructedSignal:
     """Interpolate every coset at the points, solve for the bands, reassemble."""
     xs = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(xs))
+    if bad.size:
+        i = int(bad[0])
+        raise ConstraintError(f"evaluation point {i} is {float(xs[i])!r}; points must be finite")
     B = np.stack([apply_coset_operator(samples, k, xs) for k in range(samples.grid.P + 1)])
     U = solve_coset_system(system, B)
     return ReconstructedSignal(

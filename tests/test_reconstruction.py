@@ -378,6 +378,13 @@ class TestReconstruct:
             exc.value
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        spec = random_signal(seed=2, N=1.0, M=1, epsilon=0.1, atoms_per_band=1)
+        samples = sample_signal(spec, build_grid(0.22, 0.03, 2, 16))
+        with pytest.raises(ConstraintError, match=f"evaluation point 2 is {bad!r}"):
+            reconstruct(samples, spec, [0.0, 0.1, bad, np.nan])
+
 
 def two_band_setup(ratio=0.5, J=256, seed=4):
     """Signal on bands {0, 1} over a lattice-aligned grid, delta_x = ratio*eps."""
@@ -438,6 +445,12 @@ class TestTwoBand:
         samples2 = sample_signal(spec, grid2, check=False)
         with pytest.raises(ConstraintError, match="integer"):
             reconstruct_two_band(samples2, (1.0, 1, 0.1), [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        spec, grid, samples = two_band_setup(J=16)
+        with pytest.raises(ConstraintError, match=f"evaluation point 0 is {bad!r}"):
+            reconstruct_two_band(samples, (1.0, 1, 0.1), [bad])
 
 
 class TestCsvExport:

@@ -25,6 +25,7 @@ from msamp import (
     samples_to_csv,
     sinc,
 )
+from msamp import sampling_operator
 from msamp.sampling_grid import PeriodicSamplingGrid
 from msamp.sampling_operator import _write_csv
 from msamp.signal_model import _SINC_SNAP_TOL
@@ -217,6 +218,67 @@ class TestFactoredKernel:
         assert out == apply_coset_operator(samples, 1, np.array([x]))[0]
         ref = complex(hp_coset_interpolant(samples, 1, x)[0])
         assert abs(out - ref) <= 1e-13 * np.max(np.abs(samples.coset_row(1)))
+
+
+class TestBlockLoop:
+    """The Cauchy sum across block edges, at 1-row, 3-row and default blocks.
+
+    Snapped points sit next to the edges, so live point i is not point i
+    of x, and the live count is a multiple of no block size but 1.
+    """
+
+    J = 64
+    LIVE = 1100
+
+    @pytest.fixture(params=[1, 3, None], ids=["rows1", "rows3", "default"])
+    def rows(self, request, monkeypatch):
+        width = 2 * self.J + 1
+        if request.param is not None:
+            monkeypatch.setattr(sampling_operator, "_BLOCK_ELEMENTS", request.param * width)
+        return max(1, sampling_operator._BLOCK_ELEMENTS // width)
+
+    def layout(self, rows, rng):
+        """u with snapped points before live indices rows-1, rows and 2*rows.
+
+        Returns u, the positions in u of the live points on either side of
+        each block edge and of the last live point, and the snapped positions.
+        """
+        live = rng.uniform(-self.J, self.J, self.LIVE)
+        before = np.array([rows - 1, rows, 2 * rows])
+        snapped = rng.integers(-self.J, self.J + 1, before.size) + np.array([0.0, 4e-10, -4e-10])
+        u = np.insert(live, before, snapped)
+        snapped_at = before + np.arange(before.size)
+        is_live = np.ones(u.size, bool)
+        is_live[snapped_at] = False
+        live_at = np.flatnonzero(is_live)
+        edges = [rows - 1, rows, 2 * rows - 1, 2 * rows, self.LIVE - 1]
+        return u, live_at[edges], snapped_at
+
+    def test_blocks_match_per_point_calls(self, rows, rng):
+        samples = TestFactoredKernel.random_samples(7, self.J)
+        u, edge_at, snapped_at = self.layout(rows, rng)
+        for k in range(3):
+            x = TestFactoredKernel.points(samples.grid, k, u)
+            v = samples.coset_row(k)
+            out = apply_coset_operator(samples, k, x)
+            single = np.array([apply_coset_operator(samples, k, float(xi)) for xi in x])
+            assert np.max(np.abs(out - single)) <= 1e-15 * np.max(np.abs(v))
+            ref = hp_coset_interpolant(samples, k, x[edge_at])
+            assert np.max(np.abs(out[edge_at] - ref)) <= 1e-13 * np.max(np.abs(v))
+            assert np.array_equal(out[snapped_at], v[np.rint(u[snapped_at]).astype(int) + self.J])
+
+    def test_all_snapped_returns_stored_samples(self, rows, rng):
+        samples = TestFactoredKernel.random_samples(8, self.J)
+        j = rng.integers(-self.J, self.J + 1, 2 * rows + 1)
+        u = j + rng.uniform(-5e-10, 5e-10, j.size)
+        for k in range(3):
+            out = apply_coset_operator(samples, k, TestFactoredKernel.points(samples.grid, k, u))
+            assert np.array_equal(out, samples.coset_row(k)[j + self.J])
+
+    def test_empty_points(self, rows):
+        samples = TestFactoredKernel.random_samples(9, self.J)
+        out = apply_coset_operator(samples, 1, np.array([]))
+        assert out.shape == (0,) and out.dtype == complex
 
 
 class TestAliasingIdentity:
