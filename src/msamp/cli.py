@@ -7,6 +7,12 @@ given identical flags and seed the outputs are byte-identical.
 Exit codes: 0 success, 1 I/O failure, 2 constraint violation,
 3 numerical singularity.
 
+Size budget: `synth` makes (2M+1)*atoms atoms, `sample` (P+1)*(2J+1)
+samples and `reconstruct` (P+1)*points coset values. Each count must stay
+within MAX_VALUES (10^7, 160 MB as complex numbers); a larger one is a
+constraint violation (exit 2) that names the option, raised before any
+array of that size is allocated.
+
 Option precedence: explicit flags > --config JSON file > MSAMP_SEED
 environment variable (seed only) > built-in defaults.
 
@@ -54,6 +60,13 @@ from .stability import (
 )
 
 DEFAULT_SEED = 0
+MAX_VALUES = 10_000_000
+
+
+def _within_budget(count: int, what: str) -> None:
+    """Refuse a command whose arrays would hold more than MAX_VALUES values."""
+    if count > MAX_VALUES:
+        raise ConstraintError(f"{what} = {count} values, above the ceiling of {MAX_VALUES}")
 
 
 def int_list(text: str) -> list[int]:
@@ -162,12 +175,14 @@ def _grid(cfg: _Config):
 
 
 def cmd_synth(cfg: _Config) -> int:
+    atoms = cfg.get("atoms", 2)
+    _within_budget((2 * max(cfg.get("M", 0), 0) + 1) * atoms, "--atoms: (2M+1)*atoms")
     spec = random_signal(
         seed=cfg.seed(),
         N=cfg.require("N"),
         M=cfg.require("M"),
         epsilon=cfg.require("epsilon"),
-        atoms_per_band=cfg.get("atoms", 2),
+        atoms_per_band=atoms,
         amplitude_bound=cfg.get("amplitude_bound", 1.0),
     )
     out = cfg.require("out")
@@ -185,7 +200,9 @@ def cmd_synth(cfg: _Config) -> int:
 
 def cmd_sample(cfg: _Config) -> int:
     spec = load_spec(cfg.require("spec"))
-    samples = sample_signal(spec, _grid(cfg))
+    grid = _grid(cfg)
+    _within_budget(grid.n_points, "--J: (P+1)*(2J+1)")
+    samples = sample_signal(spec, grid)
     out = cfg.require("out")
     samples_to_csv(samples, out)
     print(f"wrote {out} ({samples.grid.n_points} samples)")
@@ -202,6 +219,7 @@ def cmd_reconstruct(cfg: _Config) -> int:
     if n_points < 1:
         raise ConstraintError("--points must be >= 1")
     grid = samples.grid
+    _within_budget((grid.P + 1) * n_points, "--points: (P+1)*points")
     half = grid.J * grid.delta_X / 2
     xs = np.linspace(-half, half, n_points)
     rec = reconstruct(samples, spec or params, xs)

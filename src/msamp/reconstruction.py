@@ -16,7 +16,15 @@ the signal exactly (up to series truncation).
 
 Configurations where a folded band crosses the passband edge
 (|beta_m| > 1/(2dX) - N) cannot be represented by any single alias and
-are rejected.
+are rejected, as are evaluation points outside the sample hull
+[-J*dX, J*dX + P*dx], where the truncated series no longer follows the
+signal.
+
+The P+1 coset interpolants come from P+1 Cauchy sums
+(apply_coset_operator) or, where _coset_engine.is_cheaper models it at
+least twice as fast from (P+1, nx, J) and the points, from the batched FFT
+engine _coset_engine.coset_interpolants. The two agree to a few 1e-15 of
+max|v|; snapped points give the stored sample exactly on both.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _coset_engine
 from .errors import ConstraintError, SingularSystemError
 from .sampling_grid import PeriodicSamplingGrid, validate_against
 from .sampling_operator import SampleSet, _write_csv, apply_coset_operator
@@ -262,13 +271,29 @@ def _assemble(system: VandermondeSystem, xs: np.ndarray, U: np.ndarray) -> np.nd
 def _recover(
     samples: SampleSet, system: VandermondeSystem, eval_points
 ) -> ReconstructedSignal:
-    """Interpolate every coset at the points, solve for the bands, reassemble."""
+    """Interpolate every coset at the points, solve for the bands, reassemble.
+
+    Refuses non-finite points and points outside the sample hull, which
+    also bounds the engine's FFT length by the grid.
+    """
     xs = np.atleast_1d(np.asarray(eval_points, dtype=float))
     bad = np.flatnonzero(~np.isfinite(xs))
     if bad.size:
         i = int(bad[0])
         raise ConstraintError(f"evaluation point {i} is {float(xs[i])!r}; points must be finite")
-    B = np.stack([apply_coset_operator(samples, k, xs) for k in range(samples.grid.P + 1)])
+    grid = samples.grid
+    lo, hi = -grid.J * grid.delta_X, grid.J * grid.delta_X + grid.P * grid.delta_x
+    outside = np.flatnonzero((xs < lo) | (xs > hi))
+    if outside.size:
+        i = int(outside[0])
+        raise ConstraintError(
+            f"evaluation point {i} is {float(xs[i])!r}, outside the sample hull "
+            f"[-J*delta_X, J*delta_X + P*delta_x] = [{lo!r}, {hi!r}]"
+        )
+    if _coset_engine.is_cheaper(grid, xs):
+        B = _coset_engine.coset_interpolants(samples, xs)
+    else:
+        B = np.stack([apply_coset_operator(samples, k, xs) for k in range(grid.P + 1)])
     U = solve_coset_system(system, B)
     return ReconstructedSignal(
         eval_points=xs,
@@ -288,7 +313,8 @@ def reconstruct(
     spec_params is (N, M, epsilon) or a full MultiscaleSignalSpec; the
     sample grid must satisfy the reconstruction constraints (P = 2M,
     delta_x <= epsilon/(2M+1), epsilon < delta_X <= 1/(2N)) and no folded
-    band may straddle the kernel passband edge.
+    band may straddle the kernel passband edge. Every point must be finite
+    and inside the sample hull [-J*delta_X, J*delta_X + P*delta_x].
     """
     p = _as_params(spec_params)
     grid = samples.grid

@@ -269,6 +269,42 @@ class TestReconstruct:
         assert "repeats the row" in capsys.readouterr().err
 
 
+class TestSizeBudget:
+    """Sizes above the ceiling exit 2, naming the option, before any allocation.
+
+    Only sizes that are refused are run: at the sizes below the arrays would
+    take gigabytes.
+    """
+
+    def test_synth_atoms(self, tmp_path, capsys):
+        code = run(
+            "synth", "--N", "1", "--M", "1", "--epsilon", "0.1", "--atoms", "100000000",
+            "--out", str(tmp_path / "spec.json"),
+        )
+        assert code == 2
+        assert "--atoms: (2M+1)*atoms = 300000000 values" in capsys.readouterr().err
+        assert not (tmp_path / "spec.json").exists()
+
+    def test_sample_J(self, tmp_path, capsys):
+        spec = synth(tmp_path)
+        code = run(
+            "sample", "--spec", str(spec), "--dX", "0.22", "--dx", "0.03",
+            "--P", "2", "--J", "100000000", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert "--J: (P+1)*(2J+1) = 600000003 values" in capsys.readouterr().err
+
+    def test_reconstruct_points(self, tmp_path, capsys):
+        spec, samples = TestReconstruct().prepare(tmp_path)
+        code = run(
+            "reconstruct", "--samples", str(samples), "--spec", str(spec),
+            "--points", "300000000", "--out", str(tmp_path / "rec.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--points: (P+1)*points = 900000000 values, above the ceiling of 10000000" in err
+
+
 class TestStability:
     def test_report_fields_and_sandwich(self, tmp_path, capsys):
         spec = synth(tmp_path)

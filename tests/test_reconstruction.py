@@ -385,6 +385,22 @@ class TestReconstruct:
         with pytest.raises(ConstraintError, match=f"evaluation point 2 is {bad!r}"):
             reconstruct(samples, spec, [0.0, 0.1, bad, np.nan])
 
+    def test_point_outside_hull_rejected(self):
+        # the README quickstart grid at J = 64, where x = 2*J*delta_X returned
+        # 2.6e-18 against f = 5.0e-3
+        spec = random_signal(seed=7, N=1.0, M=1, epsilon=0.1, atoms_per_band=2)
+        grid = build_grid(0.22, 0.03, 2, 64)
+        samples = sample_signal(spec, grid)
+        lo, hi = -64 * 0.22, 64 * 0.22 + 2 * 0.03
+        far = 2 * 64 * 0.22
+        with pytest.raises(ConstraintError, match=f"evaluation point 1 is {far!r}, outside"):
+            reconstruct(samples, spec, [0.0, far, -far])
+        for bad in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+            with pytest.raises(ConstraintError, match=rf"outside the sample hull .*\[{lo!r}, {hi!r}\]"):
+                reconstruct(samples, spec, [bad])
+        rec = reconstruct(samples, spec, [lo, hi])
+        assert np.all(np.isfinite(rec.assembled))
+
 
 def two_band_setup(ratio=0.5, J=256, seed=4):
     """Signal on bands {0, 1} over a lattice-aligned grid, delta_x = ratio*eps."""
@@ -451,6 +467,12 @@ class TestTwoBand:
         spec, grid, samples = two_band_setup(J=16)
         with pytest.raises(ConstraintError, match=f"evaluation point 0 is {bad!r}"):
             reconstruct_two_band(samples, (1.0, 1, 0.1), [bad])
+
+    def test_point_outside_hull_rejected(self):
+        spec, grid, samples = two_band_setup(J=16)
+        hi = 16 * 0.3 + 0.05
+        with pytest.raises(ConstraintError, match="evaluation point 1 .* outside the sample hull"):
+            reconstruct_two_band(samples, (1.0, 1, 0.1), [hi, np.nextafter(hi, np.inf)])
 
 
 class TestCsvExport:
