@@ -41,7 +41,6 @@ __all__ = [
     "save_calibration",
     "load_calibration",
     "load_default_calibration",
-    "DEFAULT_CALIBRATION_RESOURCE",
 ]
 
 
@@ -123,6 +122,11 @@ def quadrature_stability_ratio(
     return num / den
 
 
+# Hann-window leakage allowance: band_support_check widens each support
+# interval by this many DFT bins before it counts energy as in band.
+_DILATION_BINS = 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class BandSupportReport:
     """Windowed-DFT energy localization summary."""
@@ -131,22 +135,17 @@ class BandSupportReport:
     bin_freqs: np.ndarray
     magnitudes: np.ndarray
     in_band: np.ndarray
-    window_length: float
-    dilation_bins: float
 
 
 def band_support_check(
-    spec: MultiscaleSignalSpec,
-    window_length: float,
-    grid_step: float,
-    dilation_bins: float = 1.0,
+    spec: MultiscaleSignalSpec, window_length: float, grid_step: float
 ) -> BandSupportReport:
     """Fraction of windowed-DFT energy inside the signal's spectral bands.
 
     Evaluates the signal on a uniform grid over [-T/2, T/2], applies a
     Hann window (the slow sinc tails would otherwise leak across the
     spectral gaps), and compares energy inside the support intervals
-    (dilated by `dilation_bins` DFT bins) against the total.
+    (each widened by _DILATION_BINS DFT bins) against the total.
     """
     max_step = 1 / (4 * (spec.N + spec.M / spec.epsilon))
     if grid_step > max_step:
@@ -161,7 +160,7 @@ def band_support_check(
     F = np.fft.fft(f * w)
     freqs = np.fft.fftfreq(n, d=window_length / n)
     power = np.abs(F) ** 2
-    pad = dilation_bins / window_length
+    pad = _DILATION_BINS / window_length
     in_band = np.zeros(n, dtype=bool)
     for lo, hi in spectral_support(spec).intervals:
         in_band |= (freqs >= lo - pad) & (freqs <= hi + pad)
@@ -172,28 +171,27 @@ def band_support_check(
         bin_freqs=freqs,
         magnitudes=np.abs(F),
         in_band=in_band,
-        window_length=window_length,
-        dilation_bins=dilation_bins,
     )
 
 
 # -- randomized valid configurations ------------------------------------
 
+# delta_X draws before random_valid_grid falls back to the lattice-aligned one
+_MAX_TRIES = 5000
+# random_valid_pair's range of the envelope half-bandwidth N, and its atoms per band
+_N_RANGE = (0.5, 4.0)
+_ATOMS_PER_BAND = 2
+
 
 def random_valid_grid(
-    rng: np.random.Generator,
-    N: float,
-    M: int,
-    epsilon: float,
-    J: int,
-    max_tries: int = 5000,
+    rng: np.random.Generator, N: float, M: int, epsilon: float, J: int
 ) -> PeriodicSamplingGrid:
     """Draw a grid satisfying the reconstruction constraints for (N, M, eps).
 
     delta_X is uniform over (1.25*epsilon, 1/(2N)), redrawn until the
     smallest edge margin 1/(2*delta_X) - N - |beta_m| over the bands
     exceeds 5% of the half cell: reconstruct refuses grids on which a
-    folded band straddles the kernel passband edge. When max_tries draws
+    folded band straddles the kernel passband edge. When _MAX_TRIES draws
     all fail, the lattice-aligned delta_X = 2*epsilon is used, which folds
     every band exactly to centre. delta_x/epsilon is uniform over
     [0.5, 1]/(2M+1), the well-conditioned upper half of the admissible
@@ -210,7 +208,7 @@ def random_valid_grid(
         return min(_fold_bands(range(-M, M + 1), N, epsilon, dX)[2])
 
     delta_X = 2 * epsilon
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         cand = rng.uniform(lo, hi)
         if margin(cand) > 0.05 / (2 * cand):
             delta_X = cand
@@ -230,10 +228,8 @@ def random_valid_grid(
 def random_valid_pair(
     rng_or_seed,
     J: int,
-    N_range: tuple[float, float] = (0.5, 4.0),
     M_choices: tuple[int, ...] = (0, 1, 2, 3),
     eps_range: tuple[float, float] = (0.005, 0.1),
-    atoms_per_band: int = 2,
 ):
     """Random (signal, grid) pair on which reconstruction must succeed.
 
@@ -246,7 +242,7 @@ def random_valid_pair(
         if isinstance(rng_or_seed, np.random.Generator)
         else np.random.default_rng(rng_or_seed)
     )
-    N = rng.uniform(*N_range)
+    N = rng.uniform(*_N_RANGE)
     M = int(rng.choice(M_choices))
     eps = rng.uniform(*eps_range)
     while N * eps > 0.225:
@@ -256,7 +252,7 @@ def random_valid_pair(
         N=N,
         M=M,
         epsilon=eps,
-        atoms_per_band=atoms_per_band,
+        atoms_per_band=_ATOMS_PER_BAND,
     )
     grid = random_valid_grid(rng, N=N, M=M, epsilon=eps, J=J)
     return spec, grid
@@ -292,7 +288,10 @@ def reconstruction_error(
 
 # -- truncation-tolerance calibration ------------------------------------
 
-DEFAULT_CALIBRATION_RESOURCE = "truncation_calibration.json"
+_CALIBRATION_RESOURCE = "truncation_calibration.json"
+# tau(J) over the worst measured error, and the interior points per trial
+_SAFETY = 1.5
+_N_EVAL = 33
 
 
 @dataclass(frozen=True)
@@ -321,20 +320,13 @@ class CalibrationTable:
             raise ConstraintError(f"no calibrated tolerance for J={J}")
 
 
-def calibrate_truncation(
-    J_values,
-    trials: int,
-    seed: int,
-    safety: float = 1.5,
-    n_eval: int = 33,
-    atoms_per_band: int = 2,
-) -> CalibrationTable:
+def calibrate_truncation(J_values, trials: int, seed: int) -> CalibrationTable:
     """Measure worst-case interior truncation error over random pairs.
 
     Deterministic in `seed`: trial t at truncation J uses the generator
-    seeded with (seed, J, t). The safety factor widens the committed
-    tolerance over the measured maximum to absorb draw-to-draw variation
-    in later test campaigns; both numbers are stored.
+    seeded with (seed, J, t). The safety factor _SAFETY widens the
+    committed tolerance over the measured maximum to absorb draw-to-draw
+    variation in later test campaigns; both numbers are stored.
     """
     J_values = [int(J) for J in J_values]
     if not J_values:
@@ -348,12 +340,12 @@ def calibrate_truncation(
         worst = 0.0
         for t in range(trials):
             rng = np.random.default_rng([seed, J, t])
-            spec, grid = random_valid_pair(rng, J=J, atoms_per_band=atoms_per_band)
-            err = reconstruction_error(spec, grid, n_points=n_eval, rng=rng)
+            spec, grid = random_valid_pair(rng, J=J)
+            err = reconstruction_error(spec, grid, n_points=_N_EVAL, rng=rng)
             worst = max(worst, err)
         measured[J] = worst
     c_tail = max(measured[J] * J / math.log(J) for J in J_values)
-    tolerances = {J: safety * c_tail * math.log(J) / J for J in J_values}
+    tolerances = {J: _SAFETY * c_tail * math.log(J) / J for J in J_values}
     # honor SOURCE_DATE_EPOCH so regeneration can be byte-reproducible
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     now = (
@@ -366,7 +358,7 @@ def calibrate_truncation(
         measured=measured,
         tolerances=tolerances,
         c_tail=c_tail,
-        safety=safety,
+        safety=_SAFETY,
         seed=seed,
         trials=trials,
         generated_at=now.replace(microsecond=0).isoformat(),
@@ -410,6 +402,6 @@ def load_calibration(path) -> CalibrationTable:
 
 def load_default_calibration() -> CalibrationTable:
     """The calibration table committed with the package."""
-    ref = resources.files("msamp").joinpath("data", DEFAULT_CALIBRATION_RESOURCE)
+    ref = resources.files("msamp").joinpath("data", _CALIBRATION_RESOURCE)
     with ref.open("r", encoding="utf-8") as f:
         return _table_from_payload(json.load(f))

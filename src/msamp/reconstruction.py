@@ -87,7 +87,7 @@ class VandermondeSystem:
 
     nodes[i] = exp(2*pi*i*L_eff/delta_X * delta_x) for band band_indices[i];
     matrix[k, i] = nodes[i]**k couples coset k to band i. lattice_shifts
-    and carrier_offsets hold each band's alias_split (L_eff, beta).
+    holds each band's L_eff of alias_split.
     node_gap is the smallest pairwise node distance (inf for one node);
     the build refuses gaps below 1e-12 on any grid. The build does not
     check the grid constraints or where the nodes sit on the circle;
@@ -98,7 +98,6 @@ class VandermondeSystem:
     delta_x: float
     band_indices: tuple
     lattice_shifts: tuple
-    carrier_offsets: tuple
     nodes: np.ndarray
     matrix: np.ndarray
     straddling_bands: tuple
@@ -159,7 +158,7 @@ def _build_system(
     band_indices, N: float, epsilon: float, grid: PeriodicSamplingGrid
 ) -> VandermondeSystem:
     band_indices = tuple(int(m) for m in band_indices)
-    shifts, offsets, margins = _fold_bands(band_indices, N, epsilon, grid.delta_X)
+    shifts, _, margins = _fold_bands(band_indices, N, epsilon, grid.delta_X)
 
     nodes = np.array(
         [cmath.exp(2j * np.pi * L * grid.delta_x / grid.delta_X) for L in shifts]
@@ -188,7 +187,6 @@ def _build_system(
         delta_x=grid.delta_x,
         band_indices=band_indices,
         lattice_shifts=shifts,
-        carrier_offsets=offsets,
         nodes=nodes,
         matrix=_vandermonde(nodes),
         straddling_bands=straddling,
@@ -255,16 +253,19 @@ class ReconstructedSignal:
             i = self.band_indices.index(int(m))
         except ValueError:
             raise ConstraintError(f"band {m} not part of this reconstruction")
-        carrier = np.exp(
-            2j * np.pi * (self.lattice_shifts[i] / self.delta_X) * self.eval_points
-        )
-        return self.coefficients[i] * carrier
+        L = self.lattice_shifts[i]
+        return self.coefficients[i] * _carrier(L, self.delta_X, self.eval_points)
+
+
+def _carrier(L: int, delta_X: float, xs: np.ndarray) -> np.ndarray:
+    """The lattice carrier exp(2*pi*i*L*x/delta_X) at the points xs."""
+    return np.exp(2j * np.pi * (L / delta_X) * xs)
 
 
 def _assemble(system: VandermondeSystem, xs: np.ndarray, U: np.ndarray) -> np.ndarray:
     out = np.zeros(len(xs), dtype=complex)
     for i, L in enumerate(system.lattice_shifts):
-        out += U[i] * np.exp(2j * np.pi * (L / system.delta_X) * xs)
+        out += U[i] * _carrier(L, system.delta_X, xs)
     return out
 
 

@@ -156,23 +156,20 @@ def apply_coset_operator(samples: SampleSet, k: int, x):
     return complex(out[0]) if x.ndim == 0 else out
 
 
-def coset_parseval_check(
-    samples: SampleSet, k: int, window_margin: float | None = None
-) -> tuple[float, float]:
+def coset_parseval_check(samples: SampleSet, k: int) -> tuple[float, float]:
     """Compare the L2 norm of S_k against its closed sample form.
 
     Returns (lhs, rhs) where lhs is a quadrature estimate of ||S_k||^2
-    over [-J*dX - margin, J*dX + margin] and rhs = delta_X * sum_j |v_j|^2.
+    over [-2*J*dX, 2*J*dX + k*dx] and rhs = delta_X * sum_j |v_j|^2.
     Equality is exact on the whole line; the gap measures the energy of
     the kernel tails beyond the quadrature window.
     """
     from .oracle import l2_norm_quadrature
 
     grid = samples.grid
-    if window_margin is None:
-        window_margin = grid.J * grid.delta_X
-    lo = -grid.J * grid.delta_X - window_margin
-    hi = grid.J * grid.delta_X + k * grid.delta_x + window_margin
+    margin = grid.J * grid.delta_X
+    lo = -grid.J * grid.delta_X - margin
+    hi = grid.J * grid.delta_X + k * grid.delta_x + margin
     # S_k is bandlimited to 1/(2 delta_X); delta_x refines further when
     # cosets exist
     if grid.P > 0:

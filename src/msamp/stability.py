@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -315,20 +315,6 @@ def stability_report(
     )
 
 
-_REPORT_FIELDS = [
-    "C_theoretical",
-    "vinv_norm",
-    "gautschi_lower",
-    "gautschi_upper",
-    "min_node_gap",
-    "measured_ratio",
-    "beurling_density",
-    "landau_rate",
-    "nyquist_rate",
-]
-
-
 def report_to_dict(report: StabilityReport) -> dict:
-    d = {k: getattr(report, k) for k in _REPORT_FIELDS}
-    d["parameters"] = dict(report.parameters)
-    return d
+    """The report's fields in declaration order, parameters last, as a new dict."""
+    return asdict(report)
