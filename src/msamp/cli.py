@@ -8,10 +8,12 @@ Exit codes: 0 success, 1 I/O failure, 2 constraint violation,
 3 numerical singularity.
 
 Size budget: `synth` makes (2M+1)*atoms atoms, `sample` (P+1)*(2J+1)
-samples and `reconstruct` (P+1)*points coset values. Each count must stay
-within MAX_VALUES (10^7, 160 MB as complex numbers); a larger one is a
-constraint violation (exit 2) that names the option, raised before any
-array of that size is allocated.
+samples and `reconstruct` (P+1)*points coset values. `sweep` samples
+(2M+1)*(2J+1) values and interpolates (2M+1)*eval_points per row, and
+`calibrate` samples at most 7*(2*max J+1) per trial, as its draws have
+M <= 3. Each count must stay within MAX_VALUES (10^7, 160 MB as complex
+numbers); a larger one is a constraint violation (exit 2) that names the
+option, raised before any array of that size is allocated.
 
 Option precedence: explicit flags > --config JSON file > MSAMP_SEED
 environment variable (seed only) > built-in defaults.
@@ -23,7 +25,8 @@ as its JSON text. So integer options reject 1.7 and "x", a switch such as
 "64,128", as on the command line. A value that does not convert, in the
 --config file or in MSAMP_SEED, is a constraint violation (exit 2). Keys
 that the running subcommand does not declare are ignored, so one file can
-serve the whole synth -> sample -> reconstruct chain.
+serve the whole synth -> sample -> reconstruct chain. A seed must be
+>= 0, wherever it comes from.
 
 The argument parser is built once per process, on the first call of main,
 and reused by every later call, so a program that calls main in a loop
@@ -43,7 +46,7 @@ import numpy as np
 from .errors import ConstraintError, SingularSystemError
 from .oracle import calibrate_truncation, reconstruction_error, save_calibration
 from .reconstruction import build_vandermonde, reconstruct, reconstruction_to_csv
-from .sampling_grid import build_grid
+from .sampling_grid import build_grid, validate_against
 from .sampling_operator import _write_csv, sample_signal, samples_from_csv, samples_to_csv
 from .signal_model import (
     evaluate,
@@ -139,13 +142,14 @@ class _Config:
 
     def __init__(self, args: argparse.Namespace):
         file_values = _read_config(args.config) if args.config else {}
-        self.values = {}
+        self.values, self.sources = {}, {}
         for name in _COMMANDS[args.command][1].split() + ["seed"]:
-            value = getattr(args, name)
+            value, source = getattr(args, name), "--" + name.replace("_", "-")
             if value is None and name in file_values:
-                value = _convert(name, file_values[name], f"--config {args.config}")
+                source = f"--config {args.config}"
+                value = _convert(name, file_values[name], source)
             if value is not None:
-                self.values[name] = value
+                self.values[name], self.sources[name] = value, source
 
     def get(self, name: str, default=None):
         return self.values.get(name, default)
@@ -157,12 +161,16 @@ class _Config:
         return v
 
     def seed(self) -> int:
-        if "seed" in self.values:
-            return self.values["seed"]
         env = os.environ.get("MSAMP_SEED")
-        if env is not None:
-            return _convert("seed", env, "MSAMP_SEED")
-        return DEFAULT_SEED
+        if "seed" in self.values:
+            seed, source = self.values["seed"], self.sources["seed"]
+        elif env is not None:
+            seed, source = _convert("seed", env, "MSAMP_SEED"), "MSAMP_SEED"
+        else:
+            return DEFAULT_SEED
+        if seed < 0:
+            raise ConstraintError(f"{source}: seed = {seed} is negative; seeds must be >= 0")
+        return seed
 
 
 def _grid(cfg: _Config):
@@ -264,6 +272,13 @@ def cmd_sweep(cfg: _Config) -> int:
     M = spec.M
     r_max = 1 / (2 * M + 1)
     seed = cfg.seed()
+    # delta_X and J are the same in every row: refuse a bad one once, here,
+    # rather than blank every row. The probe's delta_x, half the cap, is
+    # valid, so only delta_X and J can fail.
+    probe = build_grid(delta_X=delta_X, delta_x=spec.epsilon / (2 * M + 1) / 2, P=2 * M, J=J)
+    validate_against(probe, spec).require_ok()
+    _within_budget(probe.n_points, "--J: (2M+1)*(2J+1)")
+    _within_budget((2 * M + 1) * n_eval, "--eval-points: (2M+1)*eval_points")
 
     rows = []
     for i in range(1, n_points + 1):
@@ -294,11 +309,10 @@ def cmd_sweep(cfg: _Config) -> int:
 
 
 def cmd_calibrate(cfg: _Config) -> int:
-    table = calibrate_truncation(
-        cfg.get("J_values", [64, 128, 256, 512]),
-        trials=cfg.get("trials", 40),
-        seed=cfg.seed(),
-    )
+    J_values = cfg.get("J_values", [64, 128, 256, 512])
+    # random_valid_pair draws M <= 3, so a trial samples at most 7 cosets
+    _within_budget(7 * (2 * max(J_values, default=0) + 1), "--J-values: 7*(2*max J+1)")
+    table = calibrate_truncation(J_values, trials=cfg.get("trials", 40), seed=cfg.seed())
     out = cfg.require("out")
     save_calibration(table, out)
     print(f"wrote {out}")

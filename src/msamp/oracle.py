@@ -326,13 +326,19 @@ def calibrate_truncation(J_values, trials: int, seed: int) -> CalibrationTable:
     Deterministic in `seed`: trial t at truncation J uses the generator
     seeded with (seed, J, t). The safety factor _SAFETY widens the
     committed tolerance over the measured maximum to absorb draw-to-draw
-    variation in later test campaigns; both numbers are stored.
+    variation in later test campaigns; both numbers are stored. J_values
+    must be strictly ascending and at least 2, as the envelope divides by
+    log(J).
     """
     J_values = [int(J) for J in J_values]
     if not J_values:
         raise ConstraintError("J_values must not be empty")
-    if sorted(J_values) != J_values:
-        raise ConstraintError("J_values must be ascending")
+    if any(b <= a for a, b in zip(J_values, J_values[1:])):
+        raise ConstraintError(f"J_values must be strictly ascending, got {J_values}")
+    if J_values[0] < 2:
+        raise ConstraintError(
+            f"J_values must be >= 2, got {J_values[0]}; tau(J) divides by log(J)"
+        )
     if trials < 1:
         raise ConstraintError("trials must be >= 1")
     measured = {}

@@ -159,6 +159,32 @@ class TestMalformedInput:
         assert code == 2
         assert "MSAMP_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "sweep", "calibrate"])
+    @pytest.mark.parametrize("source", ["--seed", "MSAMP_SEED", "--config"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, monkeypatch, command, source):
+        argv = {
+            "synth": ["--N", "1", "--M", "1", "--epsilon", "0.1"],
+            "sweep": ["--spec", str(synth(tmp_path)), "--dX", "0.22", "--J", "16"],
+            "calibrate": ["--J-values", "16", "--trials", "1"],
+        }[command]
+        capsys.readouterr()
+        monkeypatch.delenv("MSAMP_SEED", raising=False)
+        if source == "--seed":
+            argv += ["--seed", "-1"]
+            named = "--seed: seed = -1 is negative"
+        elif source == "MSAMP_SEED":
+            monkeypatch.setenv("MSAMP_SEED", "-3")
+            named = "MSAMP_SEED: seed = -3 is negative"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(cfg)]
+            named = f"--config {cfg}: seed = -1 is negative"
+        out = tmp_path / "out"
+        assert run(command, *argv, "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_list_not_integers_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("calibrate", "--J-values", "16,x", "--out", str(tmp_path / "c.json"))
@@ -304,6 +330,34 @@ class TestSizeBudget:
         err = capsys.readouterr().err
         assert "--points: (P+1)*points = 900000000 values, above the ceiling of 10000000" in err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--J", "100000000", "--J: (2M+1)*(2J+1) = 600000003 values"),
+            ("--eval-points", "100000000", "--eval-points: (2M+1)*eval_points = 300000000 values"),
+        ],
+        ids=["J", "eval_points"],
+    )
+    def test_sweep(self, tmp_path, capsys, option, value, message):
+        spec = synth(tmp_path)
+        capsys.readouterr()
+        code = run(
+            "sweep", "--spec", str(spec), "--dX", "0.22", "--points", "2",
+            option, value, "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_calibrate_J_values(self, tmp_path, capsys):
+        code = run(
+            "calibrate", "--J-values", "64,1000000", "--trials", "1",
+            "--out", str(tmp_path / "c.json"),
+        )
+        assert code == 2
+        assert "--J-values: 7*(2*max J+1) = 14000007 values" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
 
 class TestStability:
     def test_report_fields_and_sandwich(self, tmp_path, capsys):
@@ -383,10 +437,12 @@ class TestSweep:
         assert ratios[-1] == pytest.approx(1 / 3, rel=1e-12)
 
     def test_invalid_points_skipped_not_fatal(self, tmp_path):
+        # at dX = 0.45 bands -1 and 1 straddle the cell edge, so reconstruct
+        # refuses every row; the rows are blanked and the sweep goes on
         spec = synth(tmp_path)
         out = tmp_path / "sweep.csv"
         code = run(
-            "sweep", "--spec", str(spec), "--dX", "0.7", "--J", "16",
+            "sweep", "--spec", str(spec), "--dX", "0.45", "--J", "16",
             "--points", "4", "--seed", "3", "--out", str(out),
         )
         assert code == 0
@@ -394,6 +450,29 @@ class TestSweep:
         assert len(rows) == 4
         assert all(r.split(",")[3] == "0" for r in rows)  # all skipped
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--J", "0", "J must be >= 1"),
+            ("--dX", "-0.22", "delta_X must be positive"),
+            ("--dX", "0.6", "delta_X <= 1/(2N) (delta_X=0.6, cap=0.5)"),
+            ("--dX", "0.7", "delta_X <= 1/(2N) (delta_X=0.7, cap=0.5)"),
+            ("--dX", "0.05", "delta_X > epsilon (delta_X=0.05, epsilon=0.1)"),
+        ],
+        ids=["J=0", "dX=-0.22", "dX=0.6", "dX=0.7", "dX=0.05"],
+    )
+    def test_bad_grid_option_exit_2(self, tmp_path, capsys, option, value, message):
+        # delta_X and J are the same in every row: refused once, not blanked
+        spec = synth(tmp_path)
+        capsys.readouterr()
+        options = {"--dX": "0.22", "--J": "16", option: value}
+        code = run(
+            "sweep", "--spec", str(spec), *[a for kv in options.items() for a in kv],
+            "--points", "4", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("dX", ["0.22", "0.35"])
     def test_bytes_match_reference_writer(self, tmp_path, dX):
@@ -445,6 +524,24 @@ class TestCalibrateCommand:
         code = run("calibrate", "--J-values", "", "--trials", "2", "--out", str(tmp_path / "c.json"))
         assert code == 2
         assert "J_values must not be empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "J_values, message",
+        [
+            ("1", "J_values must be >= 2, got 1"),
+            ("0,16", "J_values must be >= 2, got 0"),
+            ("16,16", "J_values must be strictly ascending, got [16, 16]"),
+        ],
+        ids=["1", "0,16", "16,16"],
+    )
+    def test_bad_J_values_exit_2(self, tmp_path, capsys, J_values, message):
+        code = run(
+            "calibrate", "--J-values", J_values, "--trials", "2",
+            "--out", str(tmp_path / "c.json"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
 
     def test_byte_reproducible_under_pinned_clock(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")

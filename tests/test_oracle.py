@@ -220,5 +220,9 @@ class TestCalibration:
     def test_input_validation(self):
         with pytest.raises(ConstraintError, match="ascending"):
             calibrate_truncation([32, 16], trials=2, seed=0)
+        with pytest.raises(ConstraintError, match="strictly ascending"):
+            calibrate_truncation([16, 16], trials=2, seed=0)
+        with pytest.raises(ConstraintError, match=">= 2"):
+            calibrate_truncation([1, 16], trials=2, seed=0)
         with pytest.raises(ConstraintError, match="trials"):
             calibrate_truncation([16], trials=0, seed=0)
