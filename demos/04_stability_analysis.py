@@ -49,7 +49,7 @@ for frac in (0.2, 0.4, 0.6, 0.8, 1.0):
     dx = frac * cap
     C = stability_constant(spec.N, spec.M, spec.epsilon, grid.delta_X, dx)
     g = build_grid(grid.delta_X, dx, 2, 8)
-    norm = vandermonde_inverse_norm(build_vandermonde(spec, g))
+    norm = vandermonde_inverse_norm(build_vandermonde(spec, g).nodes)
     print(f"  {frac / (2 * spec.M + 1):8.4f} {C:12.4f} {norm:10.4f}")
 print("reconstruction is most stable at dx/eps = 1/(2M+1), the right edge")
 

@@ -36,6 +36,7 @@ builds the six subparsers once.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -56,7 +57,6 @@ from .signal_model import (
     spectral_support,
 )
 from .stability import (
-    report_to_dict,
     stability_constant,
     stability_report,
     vandermonde_inverse_norm,
@@ -248,7 +248,7 @@ def cmd_reconstruct(cfg: _Config) -> int:
 def cmd_stability(cfg: _Config) -> int:
     spec = load_spec(cfg.require("spec"))
     report = stability_report(spec, _grid(cfg))
-    payload = json.dumps(report_to_dict(report), indent=2)
+    payload = json.dumps(dataclasses.asdict(report), indent=2)
     out = cfg.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as f:
@@ -271,31 +271,35 @@ def cmd_sweep(cfg: _Config) -> int:
         raise ConstraintError("--eval-points must be >= 1")
     M = spec.M
     r_max = 1 / (2 * M + 1)
+    # as validate_against computes it, so the last row's delta_x is the cap
+    cap = spec.epsilon / (2 * M + 1)
     seed = cfg.seed()
-    # delta_X and J are the same in every row: refuse a bad one once, here,
-    # rather than blank every row. The probe's delta_x, half the cap, is
-    # valid, so only delta_X and J can fail.
-    probe = build_grid(delta_X=delta_X, delta_x=spec.epsilon / (2 * M + 1) / 2, P=2 * M, J=J)
+    # delta_X and J are the same in every row, and so is whether a folded
+    # band straddles the cell edge: refuse a bad one once, here, rather than
+    # blank every row. The probe's delta_x, half the cap, is valid, so only
+    # delta_X and J can fail.
+    probe = build_grid(delta_X=delta_X, delta_x=cap / 2, P=2 * M, J=J)
     validate_against(probe, spec).require_ok()
     _within_budget(probe.n_points, "--J: (2M+1)*(2J+1)")
     _within_budget((2 * M + 1) * n_eval, "--eval-points: (2M+1)*eval_points")
+    build_vandermonde(spec, probe).require_no_straddle()
 
     rows = []
     for i in range(1, n_points + 1):
         ratio = r_max * i / n_points
-        delta_x = ratio * spec.epsilon
+        delta_x = cap * (i / n_points)
         row = {"index": i, "ratio": ratio, "delta_x": delta_x, "ok": 1}
         try:
             grid = build_grid(delta_X=delta_X, delta_x=delta_x, P=2 * M, J=J)
-            # first, so that its grid check blanks an invalid row at once;
-            # a fresh generator per row: every row uses the same points
+            # first, so that a row whose reconstruction fails is blanked at
+            # once; a fresh generator per row: every row uses the same points
             row["max_err"] = reconstruction_error(
                 spec, grid, n_points=n_eval, rng=np.random.default_rng(seed)
             )
             row["C"] = stability_constant(
                 spec.N, M, spec.epsilon, delta_X, delta_x
             )
-            row["vinv_norm"] = vandermonde_inverse_norm(build_vandermonde(spec, grid))
+            row["vinv_norm"] = vandermonde_inverse_norm(build_vandermonde(spec, grid).nodes)
         except (ConstraintError, SingularSystemError):
             row.update({"ok": 0, "C": "", "vinv_norm": "", "max_err": ""})
         rows.append(row)

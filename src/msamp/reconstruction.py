@@ -107,6 +107,15 @@ class VandermondeSystem:
     def size(self) -> int:
         return len(self.band_indices)
 
+    def require_no_straddle(self) -> None:
+        """Raise ConstraintError naming the bands in straddling_bands, if any."""
+        if self.straddling_bands:
+            raise ConstraintError(
+                f"folded bands {list(self.straddling_bands)} straddle the "
+                f"kernel passband edge at 1/(2*delta_X); no single alias branch "
+                f"represents them. Adjust delta_X."
+            )
+
 
 def _as_params(spec) -> SpecParams:
     """(N, M, epsilon) of a MultiscaleSignalSpec or of an (N, M, epsilon) tuple."""
@@ -322,12 +331,7 @@ def reconstruct(
     validate_against(grid, p).require_ok()
 
     system = build_vandermonde(p, grid)
-    if system.straddling_bands:
-        raise ConstraintError(
-            f"folded bands {list(system.straddling_bands)} straddle the "
-            f"kernel passband edge at 1/(2*delta_X); no single alias branch "
-            f"represents them. Adjust delta_X."
-        )
+    system.require_no_straddle()
     return _recover(samples, system, eval_points)
 
 
@@ -338,9 +342,11 @@ def reconstruct_two_band(
 
     Requires two cosets (P = 1) and a lattice-aligned scale,
     delta_X/epsilon integer, so band 1 folds exactly onto band 0 with the
-    node w1 = exp(2*pi*i*delta_x/epsilon). The 2x2 system for bands (0, 1)
-    then takes the same solve and assembly as reconstruct. spec_params is
-    (N, M, epsilon) or a MultiscaleSignalSpec; M is not used.
+    node w1 = exp(2*pi*i*delta_x/epsilon), and delta_X <= 1/(2N). The 2x2
+    system for bands (0, 1) then takes the same build, solve and assembly
+    as reconstruct; the build raises SingularSystemError where
+    delta_x/epsilon is within 1e-12 of an integer, so that w1 = 1.
+    spec_params is (N, M, epsilon) or a MultiscaleSignalSpec; M is not used.
     """
     p = _as_params(spec_params)
     grid = samples.grid
@@ -356,10 +362,6 @@ def reconstruct_two_band(
         raise ConstraintError("two-band path needs delta_X > epsilon")
     if grid.delta_X > 1 / (2 * p.N):
         raise ConstraintError("delta_X exceeds 1/(2N); band envelopes would clip")
-    if abs(cmath.exp(2j * np.pi * grid.delta_x / p.epsilon) - 1) < 1e-12:
-        raise SingularSystemError(
-            "degenerate two-band nodes: delta_x/epsilon is an integer, w1 = 1"
-        )
     return _recover(samples, _build_system((0, 1), p.N, p.epsilon, grid), eval_points)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "node_gap_audit",
     "measured_stability_ratio",
     "stability_report",
-    "report_to_dict",
 ]
 
 
@@ -98,48 +97,42 @@ def two_band_stability_constant(N: float, delta_ratio: float) -> float:
     return 1.0 / (2 * N * math.sin(math.pi * delta_ratio))
 
 
-def _node_array(V_or_nodes) -> np.ndarray:
-    if isinstance(V_or_nodes, VandermondeSystem):
-        return np.asarray(V_or_nodes.nodes, dtype=complex)
-    return np.asarray(V_or_nodes, dtype=complex)
-
-
 def gautschi_bounds(nodes) -> tuple[float, float]:
     """Two-sided bounds on ||V^{-1}||_inf from pairwise node distances.
 
     lower = max_l prod_{l' != l} max(1, |w_l'|) / |w_l - w_l'|
     upper = max_l prod_{l' != l} (1 + |w_l'|) / |w_l - w_l'|
 
-    Single-node systems return (1, 1) by the empty-product convention.
+    nodes is the array of w_l, such as VandermondeSystem.nodes. The
+    distances |w_l - w_l'| come from one matrix; nodes closer than 1e-15
+    raise SingularSystemError naming the first such index. A single node
+    gives (1, 1), the empty product.
     """
-    w = _node_array(nodes)
-    n = len(w)
-    if n == 1:
-        return 1.0, 1.0
-    lower = upper = 0.0
-    for l in range(n):
-        others = np.concatenate([w[:l], w[l + 1 :]])
-        dist = np.abs(w[l] - others)
-        if np.any(dist < 1e-15):
-            raise SingularSystemError(f"duplicate nodes at index {l}")
-        lo = float(np.prod(np.maximum(1.0, np.abs(others)) / dist))
-        hi = float(np.prod((1.0 + np.abs(others)) / dist))
-        lower = max(lower, lo)
-        upper = max(upper, hi)
-    return lower, upper
+    w = np.asarray(nodes, dtype=complex)
+    dist = np.abs(w[:, None] - w[None, :])
+    np.fill_diagonal(dist, np.inf)
+    close = np.flatnonzero(dist.min(axis=1) < 1e-15)
+    if close.size:
+        raise SingularSystemError(f"duplicate nodes at index {close[0]}")
+    modulus = np.abs(w)
+    factors = np.stack([np.maximum(1.0, modulus), 1.0 + modulus])[:, None, :] / dist
+    # exactly 1 where l' = l: multiply-reduce runs in order, so each row
+    # product keeps the bits of the product over l' != l alone
+    diagonal = np.arange(len(w))
+    factors[:, diagonal, diagonal] = 1.0
+    lower, upper = np.prod(factors, axis=2).max(axis=1)
+    return float(lower), float(upper)
 
 
-def vandermonde_inverse_norm(V_or_nodes) -> float:
+def vandermonde_inverse_norm(nodes) -> float:
     """||V^{-1}||_inf by explicit inversion (matrix orders here are tiny).
 
-    Inverts the system's own matrix, or the Vandermonde matrix
-    V[k, l] = w_l^k of raw nodes; the norm is the maximum absolute row sum
-    of the inverse.
+    nodes is the array of w_l, such as VandermondeSystem.nodes; V is the
+    Vandermonde matrix V[k, l] = w_l^k, built as the system build does, so
+    a system's nodes give its own matrix bit for bit. The norm is the
+    maximum absolute row sum of the inverse.
     """
-    if isinstance(V_or_nodes, VandermondeSystem):
-        V = V_or_nodes.matrix
-    else:
-        V = _vandermonde(_node_array(V_or_nodes))
+    V = _vandermonde(np.asarray(nodes, dtype=complex))
     try:
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
@@ -290,12 +283,12 @@ def stability_report(
     # after the build, whose node-gap check runs on any grid, so that
     # colliding nodes report as singular even where the grid is invalid
     validate_against(grid, spec).require_ok()
-    lower, upper = gautschi_bounds(system)
+    lower, upper = gautschi_bounds(system.nodes)
     return StabilityReport(
         C_theoretical=stability_constant(
             spec.N, spec.M, spec.epsilon, grid.delta_X, grid.delta_x
         ),
-        vinv_norm=vandermonde_inverse_norm(system),
+        vinv_norm=vandermonde_inverse_norm(system.nodes),
         gautschi_lower=lower,
         gautschi_upper=upper,
         min_node_gap=system.node_gap,
@@ -313,8 +306,3 @@ def stability_report(
             "J": grid.J,
         },
     )
-
-
-def report_to_dict(report: StabilityReport) -> dict:
-    """The report's fields in declaration order, parameters last, as a new dict."""
-    return asdict(report)

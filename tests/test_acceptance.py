@@ -155,8 +155,8 @@ def test_criterion_4_gautschi_sandwich():
         rng = np.random.default_rng([SEED, 4, t])
         spec, grid = random_valid_pair(rng, J=4)
         V = build_vandermonde(spec, grid)
-        norm = vandermonde_inverse_norm(V)
-        lower, upper = gautschi_bounds(V)
+        norm = vandermonde_inverse_norm(V.nodes)
+        lower, upper = gautschi_bounds(V.nodes)
         arg = (1 / spec.epsilon - 1 / grid.delta_X) * grid.delta_x
         analytic_cap = math.sin(math.pi * arg) ** (-2 * spec.M) if spec.M else 1.0
         slack = 1 + 1e-12

@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line front end."""
 
 import csv
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msamp import cli
 from msamp.cli import main
-from msamp import load_calibration, load_spec, samples_from_csv
+from msamp import SingularSystemError, load_calibration, load_spec, samples_from_csv
 
 from conftest import reference_sweep_csv
 
@@ -25,6 +27,19 @@ def synth(tmp_path, name="spec.json", seed="7", M="1", epsilon="0.1", N="1"):
     )
     assert code == 0
     return path
+
+
+def fail_every_second_call(monkeypatch):
+    """Make cli.reconstruction_error raise SingularSystemError on calls 2, 4, ..."""
+    calls = itertools.count(1)
+    real = cli.reconstruction_error
+
+    def reconstruction_error(*args, **kwargs):
+        if next(calls) % 2 == 0:
+            raise SingularSystemError("this row's system is singular")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reconstruction_error", reconstruction_error)
 
 
 class TestSynth:
@@ -83,6 +98,17 @@ class TestSample:
             "--dx", "0.03", "--P", "2", "--J", "8", "--out", str(tmp_path / "s.csv"),
         )
         assert code == 1
+
+    def test_missing_required_option_exit_2(self, tmp_path, capsys):
+        spec = synth(tmp_path)
+        capsys.readouterr()
+        code = run(
+            "sample", "--spec", str(spec), "--dx", "0.03", "--P", "2", "--J", "8",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert "missing required option --dX" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestMalformedInput:
@@ -244,6 +270,17 @@ class TestReconstruct:
         assert code == 0
         assert out.read_text().splitlines()[0] == "x,re_fhat,im_fhat"
 
+    def test_needs_spec_or_all_params_exit_2(self, tmp_path, capsys):
+        _, samples = self.prepare(tmp_path)
+        capsys.readouterr()
+        code = run(
+            "reconstruct", "--samples", str(samples), "--N", "1", "--M", "1",
+            "--out", str(tmp_path / "rec.csv"),
+        )
+        assert code == 2
+        assert "need --spec or all of --N --M --epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "rec.csv").exists()
+
     def test_band_columns_behind_flag(self, tmp_path):
         spec, samples = self.prepare(tmp_path)
         out = tmp_path / "rec.csv"
@@ -373,6 +410,17 @@ class TestStability:
         assert report["measured_ratio"] <= report["C_theoretical"] * 1.05
         assert report["parameters"]["P"] == 2
 
+    def test_out_file_holds_the_printed_json(self, tmp_path, capsys):
+        spec = synth(tmp_path)
+        grid = ["--dX", "0.22", "--dx", "0.03", "--P", "2", "--J", "32"]
+        capsys.readouterr()
+        assert run("stability", "--spec", str(spec), *grid) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "stability.json"
+        assert run("stability", "--spec", str(spec), *grid, "--out", str(out)) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_bytes() == printed.encode()
+
     def test_node_collision_exit_3(self, tmp_path, capsys):
         spec = synth(tmp_path)
         code = run(
@@ -436,19 +484,49 @@ class TestSweep:
         ratios = [float(r.split(",")[1]) for r in rows[1:]]
         assert ratios[-1] == pytest.approx(1 / 3, rel=1e-12)
 
-    def test_invalid_points_skipped_not_fatal(self, tmp_path):
-        # at dX = 0.45 bands -1 and 1 straddle the cell edge, so reconstruct
-        # refuses every row; the rows are blanked and the sweep goes on
+    def test_invalid_points_skipped_not_fatal(self, tmp_path, monkeypatch):
+        # a row whose own reconstruction fails is blanked and the sweep goes
+        # on; here that is every second row
+        fail_every_second_call(monkeypatch)
         spec = synth(tmp_path)
         out = tmp_path / "sweep.csv"
         code = run(
-            "sweep", "--spec", str(spec), "--dX", "0.45", "--J", "16",
+            "sweep", "--spec", str(spec), "--dX", "0.22", "--J", "16",
             "--points", "4", "--seed", "3", "--out", str(out),
         )
         assert code == 0
-        rows = out.read_text().strip().splitlines()[1:]
-        assert len(rows) == 4
-        assert all(r.split(",")[3] == "0" for r in rows)  # all skipped
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["1", "0", "1", "0"]
+        assert all(r[4:] == ["", "", ""] for r in rows[1::2])
+        assert all("" not in r for r in rows[::2])
+
+    @pytest.mark.parametrize("points", ["20", "1"])
+    def test_last_row_sits_at_the_cap(self, tmp_path, capsys, points):
+        # here (1/(2M+1))*i/n*epsilon rounds one ulp above the cap
+        # epsilon/(2M+1) at i = n
+        spec = synth(tmp_path, seed="3", M="2", epsilon="0.051")
+        capsys.readouterr()
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "sweep", "--spec", str(spec), "--dX", "0.07096018099932082", "--J", "16",
+            "--points", points, "--out", str(out),
+        )
+        assert code == 0
+        assert f"({points} rows, {points} valid)" in capsys.readouterr().out
+        last = out.read_text().strip().splitlines()[-1].split(",")
+        assert float(last[2]) == 0.051 / (2 * 2 + 1)
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_points_below_one_exit_2(self, tmp_path, capsys, points):
+        spec = synth(tmp_path)
+        capsys.readouterr()
+        code = run(
+            "sweep", "--spec", str(spec), "--dX", "0.22", "--J", "16",
+            "--points", points, "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert "--points must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
         "option, value, message",
@@ -458,11 +536,13 @@ class TestSweep:
             ("--dX", "0.6", "delta_X <= 1/(2N) (delta_X=0.6, cap=0.5)"),
             ("--dX", "0.7", "delta_X <= 1/(2N) (delta_X=0.7, cap=0.5)"),
             ("--dX", "0.05", "delta_X > epsilon (delta_X=0.05, epsilon=0.1)"),
+            ("--dX", "0.45", "folded bands [-1, 1] straddle the kernel passband edge"),
         ],
-        ids=["J=0", "dX=-0.22", "dX=0.6", "dX=0.7", "dX=0.05"],
+        ids=["J=0", "dX=-0.22", "dX=0.6", "dX=0.7", "dX=0.05", "dX=0.45"],
     )
     def test_bad_grid_option_exit_2(self, tmp_path, capsys, option, value, message):
-        # delta_X and J are the same in every row: refused once, not blanked
+        # delta_X and J are the same in every row, and so is a straddling
+        # band: refused once, not blanked
         spec = synth(tmp_path)
         capsys.readouterr()
         options = {"--dX": "0.22", "--J": "16", option: value}
@@ -474,14 +554,17 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("dX", ["0.22", "0.35"])
-    def test_bytes_match_reference_writer(self, tmp_path, dX):
-        # every row valid at dX = 0.22, every row blank at 0.35; the values
-        # read back are written again by csv.writer
+    @pytest.mark.parametrize("mixed", [False, True], ids=["0.22", "mixed"])
+    def test_bytes_match_reference_writer(self, tmp_path, monkeypatch, mixed):
+        # every row valid at dX = 0.22, or every second row blanked by a
+        # failing reconstruction; the values read back are written again by
+        # csv.writer
+        if mixed:
+            fail_every_second_call(monkeypatch)
         spec = synth(tmp_path)
         out = tmp_path / "sweep.csv"
         code = run(
-            "sweep", "--spec", str(spec), "--dX", dX, "--J", "16",
+            "sweep", "--spec", str(spec), "--dX", "0.22", "--J", "16",
             "--points", "5", "--eval-points", "4", "--seed", "3", "--out", str(out),
         )
         assert code == 0
@@ -491,7 +574,7 @@ class TestSweep:
             row["index"], row["ok"] = int(row["index"]), int(row["ok"])
             for key in ("ratio", "delta_x", "C", "vinv_norm", "max_err"):
                 row[key] = float(row[key]) if row[key] else ""
-        assert {row["ok"] for row in rows} == ({1} if dX == "0.22" else {0})
+        assert [row["ok"] for row in rows] == ([1, 0, 1, 0, 1] if mixed else [1] * 5)
         reference_sweep_csv(rows, tmp_path / "ref.csv")
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 

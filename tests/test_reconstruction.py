@@ -1,6 +1,7 @@
 """Tests for the centred alias split, Vandermonde systems, and reconstruction."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -447,6 +448,17 @@ class TestTwoBand:
         samples2 = sample_signal(spec, grid2, check=False)
         with pytest.raises(SingularSystemError, match="integer"):
             reconstruct_two_band(samples2, (1.0, 1, 0.1), [0.0])
+
+    @pytest.mark.parametrize(
+        "dX, message",
+        [(1e-12, "needs delta_X > epsilon"), (0.6, "delta_X exceeds 1/(2N)")],
+    )
+    def test_delta_X_out_of_range(self, dX, message):
+        spec, _, _ = two_band_setup(J=16)
+        grid = build_grid(dX, dX / 4, 1, 16)  # dX/epsilon = 0 and 6
+        samples = sample_signal(spec, grid, check=False)
+        with pytest.raises(ConstraintError, match=re.escape(message)):
+            reconstruct_two_band(samples, (1.0, 1, 0.1), [0.0])
 
     def test_needs_two_cosets(self):
         spec = random_signal(seed=2, N=1.0, M=0, epsilon=0.1, atoms_per_band=1)

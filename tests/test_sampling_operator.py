@@ -354,6 +354,13 @@ class TestParseval:
         lhs, rhs = coset_parseval_check(samples, 1)
         assert abs(lhs / rhs - 1) <= 1e-2
 
+    def test_single_coset_grid(self):
+        # P = 0 has no delta_x to refine the quadrature step by
+        spec = random_signal(seed=5, N=1.0, M=0, epsilon=0.1, atoms_per_band=2)
+        grid = build_grid(0.3, 0.0, 0, 32)
+        lhs, rhs = coset_parseval_check(sample_signal(spec, grid), 0)
+        assert abs(lhs / rhs - 1) <= 1e-2
+
     def test_zero_row(self):
         _, grid = spec_and_grid(J=8)
         values = np.zeros((3, 17), dtype=complex)

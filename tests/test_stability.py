@@ -1,5 +1,6 @@
 """Tests for stability constants, Gautschi bounds, and measured ratios."""
 
+import dataclasses
 import json
 import math
 
@@ -27,7 +28,6 @@ from msamp import (
     vandermonde_inverse_norm,
 )
 from msamp.oracle import quadrature_stability_ratio
-from msamp.stability import report_to_dict
 
 # (1/2) * sin(pi*(1/0.1 - 1/0.35)*0.03)**-2 at 20 digits (mpmath, exact
 # IEEE inputs)
@@ -110,8 +110,8 @@ class TestInverseNorm:
         for seed in range(60):
             spec, grid = random_valid_pair(seed, J=8)
             V = build_vandermonde(spec, grid)
-            norm = vandermonde_inverse_norm(V)
-            lower, upper = gautschi_bounds(V)
+            norm = vandermonde_inverse_norm(V.nodes)
+            lower, upper = gautschi_bounds(V.nodes)
             assert lower <= norm * (1 + 1e-12)
             assert norm <= upper * (1 + 1e-12)
             # analytic worst-case bounds in terms of the grid parameters
@@ -264,7 +264,7 @@ class TestStabilityReport:
         spec = random_signal(seed=3, N=1.0, M=1, epsilon=0.1, atoms_per_band=2)
         grid = build_grid(0.22, 0.03, 2, 32)
         rep = stability_report(spec, grid)
-        d = json.loads(json.dumps(report_to_dict(rep)))
+        d = json.loads(json.dumps(dataclasses.asdict(rep)))
         assert d["parameters"]["P"] == 2
         assert d["vinv_norm"] == rep.vinv_norm
 
